@@ -170,16 +170,6 @@ fn render(entries: &[Entry], ranking: &[(SchemeKind, f64)], mitigated: &[Mitigat
     out
 }
 
-/// Pulls `"adversarial_ceiling": <secs>` out of the baseline file
-/// (textual; the format is ours).
-fn baseline_ceiling(text: &str) -> Option<f64> {
-    let needle = "\"adversarial_ceiling\": ";
-    let at = text.find(needle)? + needle.len();
-    let rest = &text[at..];
-    let end = rest.find(['}', ','])?;
-    rest[..end].trim().parse().ok()
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_path = String::from("BENCH_adversarial.json");
@@ -338,7 +328,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let Some(ceiling) = baseline_ceiling(&text) else {
+        let Some(ceiling) = camps_bench::baseline_value(&text, None, "adversarial_ceiling") else {
             eprintln!("adversarial: baseline {path} has no adversarial_ceiling");
             return ExitCode::FAILURE;
         };

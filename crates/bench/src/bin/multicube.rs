@@ -97,16 +97,6 @@ fn run() -> Result<String, String> {
     Ok(body)
 }
 
-/// Pulls `"multicube_ceiling": <secs>` out of the baseline file
-/// (textual; the format is ours).
-fn baseline_ceiling(text: &str) -> Option<f64> {
-    let needle = "\"multicube_ceiling\": ";
-    let at = text.find(needle)? + needle.len();
-    let rest = &text[at..];
-    let end = rest.find(['}', ','])?;
-    rest[..end].trim().parse().ok()
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_path = String::from("BENCH_multicube.json");
@@ -157,7 +147,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let Some(ceiling) = baseline_ceiling(&text) else {
+        let Some(ceiling) = camps_bench::baseline_value(&text, None, "multicube_ceiling") else {
             eprintln!("multicube: baseline {path} has no multicube_ceiling entry");
             return ExitCode::FAILURE;
         };

@@ -185,16 +185,6 @@ fn render(cells: &[Cell]) -> String {
     out
 }
 
-/// Pulls `"profile_ceiling": <secs>` out of the baseline file (textual;
-/// the format is ours).
-fn baseline_ceiling(text: &str) -> Option<f64> {
-    let needle = "\"profile_ceiling\": ";
-    let at = text.find(needle)? + needle.len();
-    let rest = &text[at..];
-    let end = rest.find(['}', ','])?;
-    rest[..end].trim().parse().ok()
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_path = String::from("BENCH_profile.json");
@@ -275,7 +265,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let Some(ceiling) = baseline_ceiling(&text) else {
+        let Some(ceiling) = camps_bench::baseline_value(&text, None, "profile_ceiling") else {
             eprintln!("profile: baseline {path} has no profile_ceiling");
             return ExitCode::FAILURE;
         };

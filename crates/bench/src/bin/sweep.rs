@@ -208,16 +208,6 @@ fn run(cubes: u32, kind: TopologyKind) -> Result<String, String> {
     ))
 }
 
-/// Pulls `"sweep_ceiling": <secs>` out of the baseline file (textual;
-/// the format is ours).
-fn baseline_ceiling(text: &str) -> Option<f64> {
-    let needle = "\"sweep_ceiling\": ";
-    let at = text.find(needle)? + needle.len();
-    let rest = &text[at..];
-    let end = rest.find(['}', ','])?;
-    rest[..end].trim().parse().ok()
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_path = String::from("BENCH_sweep.json");
@@ -287,7 +277,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let Some(ceiling) = baseline_ceiling(&text) else {
+        let Some(ceiling) = camps_bench::baseline_value(&text, None, "sweep_ceiling") else {
             eprintln!("sweep: baseline {path} has no sweep_ceiling");
             return ExitCode::FAILURE;
         };

@@ -296,17 +296,6 @@ fn render(pairs: &[(Sample, Sample)], overhead: Option<&Overhead>) -> String {
     out
 }
 
-/// Pulls the named per-workload ratio (`event_over_polling` or
-/// `obs_over_plain`) out of a baseline file written by this binary
-/// (matching is textual; the format is ours).
-fn baseline_ratio(text: &str, workload: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"workload\": \"{workload}\", \"{key}\": ");
-    let at = text.find(&needle)? + needle.len();
-    let rest = &text[at..];
-    let end = rest.find(['}', ','])?;
-    rest[..end].trim().parse().ok()
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_path = String::from("BENCH_engine.json");
@@ -362,7 +351,8 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let Some(expected) = baseline_ratio(&baseline_text, "idle-heavy", "event_over_polling")
+        let Some(expected) =
+            camps_bench::baseline_value(&baseline_text, Some("idle-heavy"), "event_over_polling")
         else {
             eprintln!("throughput: baseline {path} has no idle-heavy speedup");
             return ExitCode::FAILURE;
@@ -386,7 +376,8 @@ fn main() -> ExitCode {
         }
         // Observability-overhead gate — only when the baseline commits to a
         // ratio and the binary carries the hooks at all.
-        let expected_oh = baseline_ratio(&baseline_text, OBS_WORKLOAD, "obs_over_plain");
+        let expected_oh =
+            camps_bench::baseline_value(&baseline_text, Some(OBS_WORKLOAD), "obs_over_plain");
         if let Some(expected_oh) = expected_oh.filter(|_| TraceHandle::compiled()) {
             let (_, e, re) = match measure_pair(OBS_WORKLOAD) {
                 Ok(pair) => pair,

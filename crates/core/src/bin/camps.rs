@@ -3,11 +3,11 @@
 //! ```text
 //! camps run   <MIX> <SCHEME> [--scale quick|standard|thorough] [--seed N] [--json]
 //!             [--engine polling|event] [--cubes N] [--topology chain|star]
-//!             [--checkpoint-every CYCLES] [--checkpoint-path FILE] [--max-recoveries N]
+//!             [--checkpoint-every CYCLES] [--checkpoint-path FILE]
 //!             [--trace-out FILE] [--trace-filter SUBSTR]
 //!             [--metrics-every CYCLES] [--metrics-out FILE]
 //!             [--profile] [--profile-out FILE]
-//! camps run   --resume <FILE> [--json]   # continue a checkpointed run
+//! camps run   --resume <FILE> [--json] [--engine …]   # continue a checkpointed run
 //! camps sweep [--schemes a,b,…] [--mixes a,b,…] [--scale …] [--seed N] [--json]
 //!             [--cubes N] [--topology chain|star]
 //!             [--journal FILE] [--retries N] [--backoff-ms N] [--deadline-secs S]
@@ -16,6 +16,9 @@
 //! camps list                    # available mixes, schemes, benchmarks
 //! camps config                  # dump the Table I configuration as JSON
 //! ```
+//!
+//! Flags that belong to the other subcommand are rejected with an error
+//! rather than ignored.
 //!
 //! `--engine` selects the stepping strategy (default `event`). Both
 //! engines produce bit-identical results; `polling` ticks every cycle
@@ -33,9 +36,8 @@
 //!
 //! `--checkpoint-every` snapshots the run to `--checkpoint-path`
 //! (default `camps.ckpt.json`) every N cycles; `--resume` continues from
-//! such a file. `--max-recoveries` bounds rollback-and-retry attempts on
-//! watchdog/integrity failures (0, the default, disables recovery, so
-//! the original typed error propagates and the process exits nonzero).
+//! such a file. A run that fails exits nonzero with its typed error;
+//! `camps sweep --retries` retries failed jobs from their checkpoints.
 //!
 //! `--trace-out` writes a Chrome trace-event JSON of every request
 //! lifecycle (open it at `ui.perfetto.dev`); `--trace-filter` keeps only
@@ -62,12 +64,8 @@
 //! The exit code is nonzero when any job ends quarantined; partial
 //! results are still printed.
 
-use camps::experiment::{
-    resume_mix, run_mix_observed, run_mix_recoverable, run_mix_recoverable_observed,
-    run_mix_with_engine, RunLength,
-};
+use camps::experiment::{RunLength, RunSpec};
 use camps::metrics::{average_speedup, speedup_table, RunResult};
-use camps::recovery::RecoveryPolicy;
 use camps::sweep::{run_sweep, SweepPolicy};
 use camps::system::Engine;
 use camps_obs::{ObsConfig, TraceHandle};
@@ -87,7 +85,6 @@ struct Options {
     mixes: Vec<&'static Mix>,
     checkpoint_every: Option<u64>,
     checkpoint_path: Option<PathBuf>,
-    max_recoveries: u32,
     resume: Option<PathBuf>,
     engine: Engine,
     obs: ObsConfig,
@@ -113,7 +110,22 @@ fn parse_scheme(s: &str) -> Option<SchemeKind> {
     })
 }
 
-fn parse_options(args: &[String]) -> Result<Options, String> {
+/// Flags only `camps sweep` reads.
+const SWEEP_ONLY: [&str; 6] = [
+    "--journal",
+    "--retries",
+    "--backoff-ms",
+    "--deadline-secs",
+    "--threads",
+    "--progress-secs",
+];
+
+/// Flags only `camps run` reads.
+const RUN_ONLY: [&str; 3] = ["--engine", "--checkpoint-path", "--resume"];
+
+/// Parses the options of `camps <command>`, rejecting flags that belong
+/// to the other subcommand.
+fn parse_options(command: &str, args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         scale: RunLength::quick(),
         seed: 0xCA3B5,
@@ -122,7 +134,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         mixes: ALL_MIXES.iter().collect(),
         checkpoint_every: None,
         checkpoint_path: None,
-        max_recoveries: 0,
         resume: None,
         engine: Engine::default(),
         obs: ObsConfig::default(),
@@ -135,8 +146,18 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         cubes: 1,
         topology: TopologyKind::default(),
     };
+    let (foreign, other) = if command == "run" {
+        (&SWEEP_ONLY[..], "sweep")
+    } else {
+        (&RUN_ONLY[..], "run")
+    };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        if foreign.contains(&arg.as_str()) {
+            return Err(format!(
+                "camps: {arg} applies to `camps {other}`, not `camps {command}`"
+            ));
+        }
         match arg.as_str() {
             "--scale" => {
                 opts.scale = match it.next().map(String::as_str) {
@@ -181,10 +202,11 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 ));
             }
             "--max-recoveries" => {
-                opts.max_recoveries = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--max-recoveries needs a number")?;
+                return Err(
+                    "camps: --max-recoveries was removed together with in-process \
+                            rollback; retry failed runs with `camps sweep --retries N`"
+                        .into(),
+                );
             }
             "--resume" => {
                 opts.resume = Some(PathBuf::from(it.next().ok_or("--resume needs a file")?));
@@ -329,7 +351,7 @@ fn main() -> ExitCode {
                 };
                 (Some((mix, scheme)), &args[3..])
             };
-            let mut opts = match parse_options(rest) {
+            let mut opts = match parse_options("run", rest) {
                 Ok(o) => o,
                 Err(e) => {
                     eprintln!("{e}");
@@ -355,79 +377,39 @@ fn main() -> ExitCode {
                     opts.obs.metrics_out = Some(PathBuf::from("camps.metrics.jsonl"));
                 }
             }
-            if let Some(path) = &opts.resume {
-                let result = match resume_mix(&cfg, path) {
-                    Ok(r) => r,
+            let spec = match (&opts.resume, mix_scheme) {
+                (Some(path), _) => match RunSpec::from_snapshot(&cfg, path) {
+                    Ok(spec) => spec,
                     Err(e) => {
                         eprintln!("camps: resume failed: {e}");
                         return ExitCode::FAILURE;
                     }
-                };
-                return emit(&[result], opts.json);
-            }
-            let Some((mix, scheme)) = mix_scheme else {
-                eprintln!("camps run needs <MIX> <SCHEME>, or --resume <FILE>");
-                return ExitCode::FAILURE;
+                },
+                (None, Some((mix, scheme))) => {
+                    RunSpec::new(&cfg, mix, scheme, opts.scale, opts.seed)
+                }
+                (None, None) => {
+                    eprintln!("camps run needs <MIX> <SCHEME>, or --resume <FILE>");
+                    return ExitCode::FAILURE;
+                }
             };
-            let wants_recovery = opts.max_recoveries > 0 || opts.checkpoint_every.is_some();
-            let result = if wants_recovery {
-                let policy = RecoveryPolicy {
-                    max_recoveries: opts.max_recoveries,
-                    checkpoint_every: opts.checkpoint_every,
-                    checkpoint_path: opts.checkpoint_every.is_some().then(|| {
-                        opts.checkpoint_path
-                            .clone()
-                            .unwrap_or_else(|| PathBuf::from("camps.ckpt.json"))
-                    }),
-                };
-                let recovered = if opts.obs.wants_any() {
-                    run_mix_recoverable_observed(
-                        &cfg,
-                        mix,
-                        scheme,
-                        &opts.scale,
-                        opts.seed,
-                        &policy,
-                        &opts.obs,
+            let spec = RunSpec {
+                engine: opts.engine,
+                obs: opts.obs.wants_any().then(|| opts.obs.clone()),
+                checkpoint: opts.checkpoint_every.map(|every| {
+                    let path = opts.checkpoint_path.clone();
+                    (
+                        every,
+                        path.unwrap_or_else(|| PathBuf::from("camps.ckpt.json")),
                     )
-                } else {
-                    run_mix_recoverable(&cfg, mix, scheme, &opts.scale, opts.seed, &policy)
-                };
-                match recovered {
-                    Ok((r, report)) => {
-                        if report.recovered() || report.checkpoints_taken > 0 {
-                            eprint!("{}", report.render());
-                        }
-                        r
-                    }
-                    Err(e) => {
-                        eprintln!("camps: run failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            } else if opts.obs.wants_any() {
-                match run_mix_observed(
-                    &cfg,
-                    mix,
-                    scheme,
-                    &opts.scale,
-                    opts.seed,
-                    opts.engine,
-                    &opts.obs,
-                ) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("camps: run failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            } else {
-                match run_mix_with_engine(&cfg, mix, scheme, &opts.scale, opts.seed, opts.engine) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("camps: run failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
+                }),
+                ..spec
+            };
+            let result = match spec.run() {
+                Ok(r) => r,
+                Err(e) => {
+                    eprintln!("camps: run failed: {e}");
+                    return ExitCode::FAILURE;
                 }
             };
             if let Some(p) = &opts.obs.trace_out {
@@ -439,7 +421,7 @@ fn main() -> ExitCode {
             emit(&[result], opts.json)
         }
         Some("sweep") => {
-            let opts = match parse_options(&args[1..]) {
+            let opts = match parse_options("sweep", &args[1..]) {
                 Ok(o) => o,
                 Err(e) => {
                     eprintln!("{e}");
@@ -520,7 +502,7 @@ fn main() -> ExitCode {
                 "usage: camps <run|sweep|list|config> …\n\
                  \n  camps run HM1 campsmod --scale quick --json\
                  \n  camps run HM1 campsmod --engine polling   # slow reference engine\
-                 \n  camps run HM1 campsmod --checkpoint-every 1000000 --max-recoveries 3\
+                 \n  camps run HM1 campsmod --checkpoint-every 1000000\
                  \n  camps run HM1 campsmod --trace-out run.trace.json --metrics-every 1000\
                  \n  camps run --resume camps.ckpt.json\
                  \n  camps sweep --mixes HM1,LM1 --schemes base,campsmod\

@@ -1,14 +1,16 @@
-//! Workload × scheme experiment sweeps.
+//! The run driver and workload × scheme experiment sweeps.
 //!
-//! Each (mix, scheme) simulation is single-threaded and deterministic;
-//! sweeps fan the independent runs out over all host cores with rayon.
+//! Every simulation goes through one driver, [`RunSpec`]: build the
+//! machine, warm it up or restore a checkpoint, step it (checkpointing
+//! on schedule and honouring a wall-clock deadline), and collect the
+//! result. Each (mix, scheme) simulation is single-threaded and
+//! deterministic; sweeps fan the independent runs out over all host
+//! cores with rayon.
 
 use crate::metrics::RunResult;
-use crate::recovery::{
-    read_snapshot, restore_run, run_with_recovery, scheme_from_name, RecoveryPolicy, RecoveryReport,
-};
-use crate::system::{Engine, System};
-use camps_obs::ObsConfig;
+use crate::recovery::{read_snapshot, restore_run, scheme_from_name, write_snapshot};
+use crate::system::{Engine, RunState, System};
+use camps_obs::{Comp, ObsConfig};
 use camps_prefetch::SchemeKind;
 use camps_types::clock::Cycle;
 use camps_types::config::SystemConfig;
@@ -16,7 +18,8 @@ use camps_types::error::SimError;
 use camps_workloads::Mix;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 /// How long to warm up and measure, mirroring the paper's methodology
 /// (§4.1: fast-forward, warm caches, then detailed simulation) at
@@ -75,7 +78,294 @@ impl RunLength {
     }
 }
 
-/// Runs one Table II mix under one scheme.
+/// One simulation run, fully specified: the paper's methodology (§4.1)
+/// of building the machine, warming its caches and then simulating in
+/// detail, plus every option a caller may set on it.
+///
+/// Build one with [`RunSpec::new`] (or [`RunSpec::from_snapshot`]) and
+/// override fields with struct-update syntax:
+///
+/// ```no_run
+/// use camps::experiment::{RunLength, RunSpec};
+/// use camps::system::Engine;
+/// use camps_prefetch::SchemeKind;
+/// use camps_types::SystemConfig;
+/// use camps_workloads::Mix;
+///
+/// let cfg = SystemConfig::paper_default();
+/// let mix = Mix::by_id("HM1").unwrap();
+/// let result = RunSpec {
+///     engine: Engine::Polling,
+///     checkpoint: Some((1_000_000, "hm1.ckpt.json".into())),
+///     ..RunSpec::new(&cfg, mix, SchemeKind::CampsMod, RunLength::quick(), 42)
+/// }
+/// .run();
+/// ```
+#[derive(Debug, Clone)]
+pub struct RunSpec<'a> {
+    /// Machine configuration.
+    pub cfg: &'a SystemConfig,
+    /// Table II workload mix.
+    pub mix: Mix,
+    /// Prefetching scheme every vault runs.
+    pub scheme: SchemeKind,
+    /// Warmup and detailed-simulation length.
+    pub len: RunLength,
+    /// Workload seed.
+    pub seed: u64,
+    /// Stepping strategy (the engines are bit-identical).
+    pub engine: Engine,
+    /// Observers to install. `None` installs none; `Some` of a default
+    /// [`ObsConfig`] still collects the per-stage latency breakdown.
+    /// Output files are written whether the run succeeds or fails.
+    pub obs: Option<ObsConfig>,
+    /// Every `.0` cycles, write a snapshot of the run to the file `.1`
+    /// (atomically replaced), so a killed or failed run can resume.
+    pub checkpoint: Option<(Cycle, PathBuf)>,
+    /// Continue from this snapshot instead of warming up. The snapshot
+    /// must have been taken under `cfg`, `mix`, `scheme` and `seed`; its
+    /// run bookkeeping replaces `len`.
+    pub resume: Option<PathBuf>,
+    /// Wall-clock budget, counted from [`RunSpec::start`]. A run that
+    /// exceeds it fails with [`SimError::Deadline`].
+    pub deadline: Option<Duration>,
+}
+
+impl<'a> RunSpec<'a> {
+    /// The plain run of `mix` under `scheme`: event engine, no
+    /// observers, no checkpoints, no deadline.
+    #[must_use]
+    pub fn new(
+        cfg: &'a SystemConfig,
+        mix: &Mix,
+        scheme: SchemeKind,
+        len: RunLength,
+        seed: u64,
+    ) -> Self {
+        Self {
+            cfg,
+            mix: *mix,
+            scheme,
+            len,
+            seed,
+            engine: Engine::default(),
+            obs: None,
+            checkpoint: None,
+            resume: None,
+            deadline: None,
+        }
+    }
+
+    /// The spec that continues the run checkpointed at `path`: mix,
+    /// scheme and seed come from the snapshot's manifest, and `cfg` must
+    /// be the configuration it was taken under.
+    ///
+    /// # Errors
+    /// [`SimError::Snapshot`] for an unreadable or corrupt snapshot, or
+    /// one naming an unknown mix or scheme.
+    pub fn from_snapshot(cfg: &'a SystemConfig, path: &Path) -> Result<Self, SimError> {
+        let (manifest, _) = read_snapshot(path)?;
+        let mix = Mix::by_id(&manifest.mix_id).ok_or_else(|| SimError::Snapshot {
+            reason: format!("snapshot names unknown mix `{}`", manifest.mix_id),
+        })?;
+        let scheme = scheme_from_name(&manifest.scheme)?;
+        // The snapshot carries the run's own length and cycle cap.
+        let unused = RunLength {
+            warmup_instructions: 0,
+            instructions: 0,
+            max_cycles: 0,
+        };
+        Ok(Self {
+            resume: Some(path.to_path_buf()),
+            ..Self::new(cfg, mix, scheme, unused, manifest.seed)
+        })
+    }
+
+    /// Builds the machine, installs the engine and observers, and warms
+    /// up (or restores [`resume`](Self::resume)), leaving the run ready
+    /// to [`step`](Run::step).
+    ///
+    /// # Errors
+    /// Configuration and trace-setup errors; [`SimError::Snapshot`] when
+    /// the resume snapshot is unreadable or does not match this spec.
+    pub fn start(&self) -> Result<Run, SimError> {
+        let started = self.deadline.map(|limit| (Instant::now(), limit));
+        let capacity = self.cfg.cube_map()?.capacity_bytes();
+        let traces = self.mix.build_traces(capacity, self.seed)?;
+        let mut sys = System::new(self.cfg, self.scheme, traces)?;
+        sys.set_engine(self.engine);
+        let state = match &self.resume {
+            Some(path) => {
+                let (manifest, state) = read_snapshot(path)?;
+                if manifest.mix_id != self.mix.id || manifest.seed != self.seed {
+                    return Err(SimError::Snapshot {
+                        reason: format!(
+                            "snapshot ran {}#{}, this run is {}#{}",
+                            manifest.mix_id, manifest.seed, self.mix.id, self.seed
+                        ),
+                    });
+                }
+                // Placeholder bookkeeping; restore_run overwrites every field.
+                let mut run = sys.run_begin(0, 0);
+                restore_run(&mut sys, &mut run, &manifest, &state)?;
+                run
+            }
+            None => {
+                sys.warmup(self.len.warmup_instructions);
+                sys.run_begin(self.len.instructions, self.len.max_cycles)
+            }
+        };
+        if let Some(obs) = &self.obs {
+            sys.enable_obs(obs);
+        }
+        sys.profiler_mut().enter(Comp::RunLoop);
+        Ok(Run {
+            next_checkpoint: self.checkpoint.as_ref().map(|(every, _)| sys.now() + every),
+            sys,
+            state,
+            mix_id: self.mix.id,
+            seed: self.seed,
+            obs: self.obs.clone(),
+            checkpoint: self.checkpoint.clone(),
+            started,
+        })
+    }
+
+    /// Runs the spec to completion: [`start`](Self::start), then
+    /// [`step`](Run::step) until done, then [`finish`](Run::finish).
+    ///
+    /// # Errors
+    /// Anything [`start`](Self::start), [`step`](Run::step) or
+    /// [`finish`](Run::finish) returns.
+    pub fn run(&self) -> Result<RunResult, SimError> {
+        let mut run = self.start()?;
+        while run.step()? {}
+        run.finish()
+    }
+}
+
+/// A started [`RunSpec`]: the machine plus the run's bookkeeping,
+/// checkpoint schedule and deadline.
+pub struct Run {
+    sys: System,
+    state: RunState,
+    mix_id: &'static str,
+    seed: u64,
+    obs: Option<ObsConfig>,
+    checkpoint: Option<(Cycle, PathBuf)>,
+    next_checkpoint: Option<Cycle>,
+    started: Option<(Instant, Duration)>,
+}
+
+impl Run {
+    /// Current simulation cycle.
+    #[must_use]
+    pub fn now(&self) -> Cycle {
+        self.sys.now()
+    }
+
+    /// Advances the run one step, then writes a checkpoint if one is
+    /// due. Returns `Ok(false)` once the run is complete. The deadline is
+    /// checked before the step; the clock is read only when a deadline
+    /// is set.
+    ///
+    /// # Errors
+    /// [`SimError::Deadline`], the integrity and watchdog errors of
+    /// [`System::run_step`], and [`SimError::Snapshot`] when a checkpoint
+    /// cannot be written. Observer output is exported before an error
+    /// returns.
+    pub fn step(&mut self) -> Result<bool, SimError> {
+        if let Some((started, limit)) = self.started {
+            let elapsed = started.elapsed();
+            if elapsed > limit {
+                return Err(self.fail(SimError::Deadline {
+                    elapsed_secs: elapsed.as_secs_f64(),
+                    limit_secs: limit.as_secs_f64(),
+                }));
+            }
+        }
+        let more = match self.sys.run_step(&mut self.state) {
+            Ok(more) => more,
+            Err(err) => return Err(self.fail(err)),
+        };
+        if let (true, Some(at), Some((every, path))) =
+            (more, self.next_checkpoint, &self.checkpoint)
+        {
+            if self.sys.now() >= at {
+                if let Err(err) =
+                    write_snapshot(path, &self.sys, &self.state, self.mix_id, self.seed)
+                {
+                    return Err(self.fail(err));
+                }
+                self.sys.obs().mark("checkpoint", self.sys.now());
+                self.next_checkpoint = Some(self.sys.now() + every);
+            }
+        }
+        Ok(more)
+    }
+
+    /// Collects the run's metrics and exports observer output.
+    ///
+    /// # Errors
+    /// The integrity errors of [`System::run_finish`], and
+    /// [`SimError::Io`] when an observer output file cannot be written.
+    pub fn finish(mut self) -> Result<RunResult, SimError> {
+        self.sys.profiler_mut().exit(Comp::RunLoop);
+        let result = self.sys.run_finish(&self.state, self.mix_id);
+        let exported = self.export_obs();
+        let result = result?;
+        exported?;
+        Ok(result)
+    }
+
+    /// Closes the run loop's profile span and exports observer output
+    /// for a run that failed; an export failure never masks `err`.
+    fn fail(&mut self, err: SimError) -> SimError {
+        self.sys.profiler_mut().exit(Comp::RunLoop);
+        self.export_obs().ok();
+        err
+    }
+
+    /// Writes the installed observers' outputs (trace JSON, metrics
+    /// series, folded profile) to the paths the spec's [`ObsConfig`]
+    /// names.
+    fn export_obs(&self) -> Result<(), SimError> {
+        let Some(obs_cfg) = &self.obs else {
+            return Ok(());
+        };
+        let io_err = |path: &Path, e: std::io::Error| SimError::Io {
+            path: path.display().to_string(),
+            source: e,
+        };
+        if let Some(path) = &obs_cfg.trace_out {
+            self.sys
+                .obs()
+                .export_trace(path)
+                .map_err(|e| io_err(path, e))?;
+        }
+        if let Some(path) = &obs_cfg.metrics_out {
+            self.sys
+                .obs()
+                .export_metrics(path)
+                .map_err(|e| io_err(path, e))?;
+        }
+        if let Some(path) = &obs_cfg.profile_out {
+            // Folded-stack lines (`path;to;leaf <excl_ns>`), directly
+            // consumable by `flamegraph.pl` / speedscope / inferno.
+            let folded = self
+                .sys
+                .profiler()
+                .summary()
+                .map(|p| p.render_folded())
+                .unwrap_or_default();
+            std::fs::write(path, folded).map_err(|e| io_err(path, e))?;
+        }
+        Ok(())
+    }
+}
+
+/// Runs one Table II mix under one scheme: shorthand for
+/// [`RunSpec::new`]`(…).`[`run`](RunSpec::run)`()`.
 ///
 /// # Errors
 /// Propagates configuration, setup, integrity, and watchdog errors from
@@ -88,192 +378,7 @@ pub fn run_mix(
     len: &RunLength,
     seed: u64,
 ) -> Result<RunResult, SimError> {
-    run_mix_with_engine(cfg, mix, scheme, len, seed, Engine::default())
-}
-
-/// [`run_mix`] with an explicit stepping [`Engine`] — the two engines
-/// produce bit-identical results; `Engine::Polling` is the slower
-/// reference path kept as an escape hatch and equivalence oracle.
-///
-/// # Errors
-/// As [`run_mix`].
-pub fn run_mix_with_engine(
-    cfg: &SystemConfig,
-    mix: &Mix,
-    scheme: SchemeKind,
-    len: &RunLength,
-    seed: u64,
-    engine: Engine,
-) -> Result<RunResult, SimError> {
-    let capacity = cfg.cube_map()?.capacity_bytes();
-    let traces = mix.build_traces(capacity, seed)?;
-    let mut sys = System::new(cfg, scheme, traces)?;
-    sys.set_engine(engine);
-    sys.warmup(len.warmup_instructions);
-    sys.run(len.instructions, len.max_cycles, mix.id)
-}
-
-/// Like [`run_mix`], but driven through the rollback-and-retry recovery
-/// loop: periodic checkpoints per `policy`, rollback on watchdog trips
-/// and integrity violations, and a [`RecoveryReport`] describing what
-/// the driver did.
-///
-/// # Errors
-/// As [`run_mix`], plus [`SimError::Snapshot`] for checkpoint I/O
-/// failures; the original run error propagates when the recovery budget
-/// is exhausted.
-pub fn run_mix_recoverable(
-    cfg: &SystemConfig,
-    mix: &Mix,
-    scheme: SchemeKind,
-    len: &RunLength,
-    seed: u64,
-    policy: &RecoveryPolicy,
-) -> Result<(RunResult, RecoveryReport), SimError> {
-    let capacity = cfg.cube_map()?.capacity_bytes();
-    let traces = mix.build_traces(capacity, seed)?;
-    let mut sys = System::new(cfg, scheme, traces)?;
-    sys.warmup(len.warmup_instructions);
-    run_with_recovery(
-        &mut sys,
-        len.instructions,
-        len.max_cycles,
-        mix.id,
-        seed,
-        policy,
-    )
-}
-
-/// Resumes a checkpointed run from `path` and drives it to completion.
-///
-/// The machine is rebuilt from `cfg` plus the snapshot manifest's mix,
-/// scheme, and seed, the checkpointed state is overlaid, and the run
-/// continues from the checkpoint cycle. Warmup is skipped — the snapshot
-/// already contains the warmed machine. `cfg` must match the snapshot's
-/// config hash.
-///
-/// # Errors
-/// [`SimError::Snapshot`] for unreadable/corrupt snapshots or a
-/// mismatched config/mix/scheme; then anything the continued run itself
-/// returns.
-pub fn resume_mix(cfg: &SystemConfig, path: &Path) -> Result<RunResult, SimError> {
-    let (manifest, state) = read_snapshot(path)?;
-    let mix = Mix::by_id(&manifest.mix_id).ok_or_else(|| SimError::Snapshot {
-        reason: format!("snapshot names unknown mix `{}`", manifest.mix_id),
-    })?;
-    let scheme = scheme_from_name(&manifest.scheme)?;
-    let capacity = cfg.cube_map()?.capacity_bytes();
-    let traces = mix.build_traces(capacity, manifest.seed)?;
-    let mut sys = System::new(cfg, scheme, traces)?;
-    // Placeholder run bookkeeping; restore_run overwrites every field.
-    let mut run = sys.run_begin(0, 0);
-    restore_run(&mut sys, &mut run, &manifest, &state)?;
-    while sys.run_step(&mut run)? {}
-    sys.run_finish(&run, mix.id)
-}
-
-/// Writes the installed tracer's outputs (trace JSON, metrics series)
-/// to the paths `obs_cfg` names.
-fn export_obs(sys: &System, obs_cfg: &ObsConfig) -> Result<(), SimError> {
-    let io_err = |path: &Path, e: std::io::Error| SimError::Io {
-        path: path.display().to_string(),
-        source: e,
-    };
-    if let Some(path) = &obs_cfg.trace_out {
-        sys.obs().export_trace(path).map_err(|e| io_err(path, e))?;
-    }
-    if let Some(path) = &obs_cfg.metrics_out {
-        sys.obs()
-            .export_metrics(path)
-            .map_err(|e| io_err(path, e))?;
-    }
-    if let Some(path) = &obs_cfg.profile_out {
-        // Folded-stack lines (`path;to;leaf <excl_ns>`), directly
-        // consumable by `flamegraph.pl` / speedscope / inferno.
-        let folded = sys
-            .profiler()
-            .summary()
-            .map(|p| p.render_folded())
-            .unwrap_or_default();
-        std::fs::write(path, folded).map_err(|e| io_err(path, e))?;
-    }
-    Ok(())
-}
-
-/// [`run_mix_with_engine`] with request-lifecycle tracing and metrics
-/// sampling installed per `obs_cfg`. Trace/metrics files are written
-/// even when the run itself fails (a trace of a wedged run is the whole
-/// point of tracing), but an export failure never masks a run error.
-///
-/// # Errors
-/// As [`run_mix`], plus [`SimError::Io`] when an export path cannot be
-/// written (including when the crate was built without the `obs`
-/// feature — exports then fail with `Unsupported`).
-pub fn run_mix_observed(
-    cfg: &SystemConfig,
-    mix: &Mix,
-    scheme: SchemeKind,
-    len: &RunLength,
-    seed: u64,
-    engine: Engine,
-    obs_cfg: &ObsConfig,
-) -> Result<RunResult, SimError> {
-    let capacity = cfg.cube_map()?.capacity_bytes();
-    let traces = mix.build_traces(capacity, seed)?;
-    let mut sys = System::new(cfg, scheme, traces)?;
-    sys.set_engine(engine);
-    sys.enable_obs(obs_cfg);
-    sys.warmup(len.warmup_instructions);
-    match sys.run(len.instructions, len.max_cycles, mix.id) {
-        Ok(result) => {
-            export_obs(&sys, obs_cfg)?;
-            Ok(result)
-        }
-        Err(err) => {
-            export_obs(&sys, obs_cfg).ok();
-            Err(err)
-        }
-    }
-}
-
-/// [`run_mix_recoverable`] with observability installed: checkpoints and
-/// rollbacks appear on the trace's recovery track alongside the request
-/// lifecycles.
-///
-/// # Errors
-/// As [`run_mix_recoverable`], plus [`SimError::Io`] on export failure.
-pub fn run_mix_recoverable_observed(
-    cfg: &SystemConfig,
-    mix: &Mix,
-    scheme: SchemeKind,
-    len: &RunLength,
-    seed: u64,
-    policy: &RecoveryPolicy,
-    obs_cfg: &ObsConfig,
-) -> Result<(RunResult, RecoveryReport), SimError> {
-    let capacity = cfg.cube_map()?.capacity_bytes();
-    let traces = mix.build_traces(capacity, seed)?;
-    let mut sys = System::new(cfg, scheme, traces)?;
-    sys.enable_obs(obs_cfg);
-    sys.warmup(len.warmup_instructions);
-    let outcome = run_with_recovery(
-        &mut sys,
-        len.instructions,
-        len.max_cycles,
-        mix.id,
-        seed,
-        policy,
-    );
-    match outcome {
-        Ok(pair) => {
-            export_obs(&sys, obs_cfg)?;
-            Ok(pair)
-        }
-        Err(err) => {
-            export_obs(&sys, obs_cfg).ok();
-            Err(err)
-        }
-    }
+    RunSpec::new(cfg, mix, scheme, *len, seed).run()
 }
 
 /// Runs the full cross product `mixes × schemes` in parallel (rayon).
@@ -341,20 +446,17 @@ mod tests {
         let dir = std::env::temp_dir().join("camps-experiment-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("resume.ckpt.json");
-        let policy = RecoveryPolicy {
-            max_recoveries: 0,
-            checkpoint_every: Some(10_000),
-            checkpoint_path: Some(path.clone()),
-        };
-        let (full, report) =
-            run_mix_recoverable(&cfg, mix, SchemeKind::Camps, &len, 3, &policy).unwrap();
-        assert!(
-            report.checkpoints_taken > 0,
-            "run must leave a checkpoint behind"
-        );
+        std::fs::remove_file(&path).ok();
+        let full = RunSpec {
+            checkpoint: Some((10_000, path.clone())),
+            ..RunSpec::new(&cfg, mix, SchemeKind::Camps, len, 3)
+        }
+        .run()
+        .unwrap();
+        assert!(path.exists(), "run must leave a checkpoint behind");
         // Rebuild from the last on-disk checkpoint and continue: final
         // stats must be bit-identical to the uninterrupted run.
-        let resumed = resume_mix(&cfg, &path).unwrap();
+        let resumed = RunSpec::from_snapshot(&cfg, &path).unwrap().run().unwrap();
         assert_eq!(full.ipc, resumed.ipc);
         assert_eq!(full.cycles, resumed.cycles);
         assert_eq!(full.vaults, resumed.vaults);
@@ -373,17 +475,30 @@ mod tests {
         let dir = std::env::temp_dir().join("camps-experiment-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("drift.ckpt.json");
-        let policy = RecoveryPolicy {
-            max_recoveries: 0,
-            checkpoint_every: Some(5_000),
-            checkpoint_path: Some(path.clone()),
-        };
-        run_mix_recoverable(&cfg, &ALL_MIXES[0], SchemeKind::Nopf, &len, 1, &policy).unwrap();
+        RunSpec {
+            checkpoint: Some((5_000, path.clone())),
+            ..RunSpec::new(&cfg, &ALL_MIXES[0], SchemeKind::Nopf, len, 1)
+        }
+        .run()
+        .unwrap();
         let mut drifted = cfg.clone();
         drifted.prefetch.entries *= 2;
-        let err = resume_mix(&drifted, &path).unwrap_err();
+        let err = RunSpec::from_snapshot(&drifted, &path)
+            .and_then(|spec| spec.run())
+            .unwrap_err();
         assert!(
             matches!(&err, SimError::Snapshot { reason } if reason.contains("configuration")),
+            "got {err}"
+        );
+        // A spec naming another seed must not restore this run's state
+        // onto differently seeded traces.
+        let reseeded = RunSpec {
+            resume: Some(path.clone()),
+            ..RunSpec::new(&cfg, &ALL_MIXES[0], SchemeKind::Nopf, len, 2)
+        };
+        let err = reseeded.run().unwrap_err();
+        assert!(
+            matches!(&err, SimError::Snapshot { reason } if reason.contains("HM1#1")),
             "got {err}"
         );
         std::fs::remove_file(&path).ok();

@@ -355,12 +355,6 @@ impl HmcDevice {
         self.resp_links.tokens_free()
     }
 
-    /// Replaces the fault-injection schedule (the recovery driver uses
-    /// this to quarantine a misbehaving plan after a rollback).
-    pub fn set_faults(&mut self, faults: FaultPlan) {
-        self.faults = faults;
-    }
-
     /// Occupancy snapshots of every vault, with the host-side retry-queue
     /// depths filled in (watchdog diagnostics).
     #[must_use]

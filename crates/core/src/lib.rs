@@ -20,10 +20,11 @@
 //! * [`system`] — cores + caches + cube wired together; the cycle loop,
 //! * [`audit`] — request-lifetime conservation checking,
 //! * [`metrics`] — per-run results ([`metrics::RunResult`]),
-//! * [`experiment`] — workload × scheme sweeps (rayon-parallel) and the
-//!   figure-level aggregations used to regenerate the paper's plots,
-//! * [`recovery`] — checkpoint/restore of a mid-flight run plus the
-//!   rollback-and-retry driver that survives injected faults,
+//! * [`experiment`] — the run driver ([`RunSpec`]: warmup or resume,
+//!   checkpoints, deadline, observers) and workload × scheme sweeps
+//!   (rayon-parallel) used to regenerate the paper's plots,
+//! * [`recovery`] — checkpoint/restore of a mid-flight run: the
+//!   verified snapshot format the driver writes and resumes from,
 //! * [`sweep`] — the resilient parallel sweep supervisor: fault-isolated
 //!   jobs, retry-with-resume, a crash-safe journal, partial results.
 //!
@@ -43,15 +44,10 @@ pub mod system;
 pub mod topology;
 
 pub use audit::RequestAuditor;
-pub use experiment::{
-    resume_mix, run_matrix, run_mix, run_mix_recoverable, run_mix_with_engine, run_replicated,
-    Replicated, RunLength,
-};
+pub use experiment::{run_matrix, run_mix, run_replicated, Replicated, Run, RunLength, RunSpec};
 pub use hmc::HmcDevice;
 pub use metrics::{fairness, Fairness, RunResult};
-pub use recovery::{
-    read_snapshot, run_with_recovery, write_snapshot, RecoveryEvent, RecoveryPolicy, RecoveryReport,
-};
+pub use recovery::{read_snapshot, write_snapshot};
 pub use sweep::{run_sweep, JobOutcome, JobRecord, SweepPolicy, SweepReport, SweepRun};
 pub use system::{Engine, System};
 pub use topology::Topology;

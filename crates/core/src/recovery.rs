@@ -1,18 +1,12 @@
-//! Checkpointing and rollback-and-retry recovery around the run loop.
+//! Checkpoint and restore of a mid-flight run.
 //!
-//! The driver wraps [`System::run_step`] with periodic in-memory (and
-//! optionally on-disk) checkpoints. When the run fails with a
-//! *recoverable* error — a watchdog trip or an integrity violation, the
-//! errors fault injection produces — it rolls the machine back to the
-//! most recent good checkpoint, quarantines the fault plan, and retries,
-//! up to a bounded number of attempts. Every rollback is recorded in a
-//! structured [`RecoveryReport`].
-//!
-//! Escalation: each checkpoint is consumed by at most one rollback. If a
-//! retry fails again before a fresh checkpoint was taken, the next
-//! rollback falls all the way back to the run's starting state — state
-//! corruption already baked into a checkpoint (e.g. a request dropped
-//! *before* the snapshot was taken) cannot wedge the driver in a loop.
+//! A snapshot captures the machine ([`System`]) together with the run's
+//! bookkeeping ([`RunState`]), so a fresh process can rebuild the
+//! machine from its configuration and workload, overlay the snapshot,
+//! and continue bit-identically. The run driver
+//! ([`RunSpec`](crate::experiment::RunSpec)) writes snapshots on a
+//! cycle schedule and resumes from them; the sweep supervisor uses that
+//! to resume killed or failed jobs.
 //!
 //! On-disk format (DESIGN.md §8): a single JSON document
 //! `{"manifest": {...}, "checksum": N, "state": {...}}` where `checksum`
@@ -20,81 +14,16 @@
 //! and the manifest pins format version, config hash, scheme, mix, seed,
 //! and cycle. The loader verifies all of these before touching any state.
 
-use crate::metrics::RunResult;
 use crate::system::{RunState, System};
 use camps_prefetch::SchemeKind;
-use camps_types::clock::Cycle;
 use camps_types::config::SystemConfig;
 use camps_types::error::SimError;
 use camps_types::snapshot::{field, fnv1a, Snapshot, SnapshotManifest};
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 pub use camps_types::snapshot::{SnapshotManifest as Manifest, SNAPSHOT_FORMAT_VERSION};
-
-/// Recovery knobs for [`run_with_recovery`].
-#[derive(Debug, Clone, Default)]
-pub struct RecoveryPolicy {
-    /// Maximum rollback-and-retry attempts before the original error
-    /// propagates. 0 disables recovery entirely.
-    pub max_recoveries: u32,
-    /// Checkpoint interval in cycles. `None` falls back to the config's
-    /// [`checkpoint_every`](camps_types::IntegrityConfig::checkpoint_every);
-    /// if both are `None`, only the run-start state is checkpointed.
-    pub checkpoint_every: Option<Cycle>,
-    /// When set, every checkpoint is also written here (atomically
-    /// replaced), so an interrupted process can be resumed with
-    /// [`read_snapshot`].
-    pub checkpoint_path: Option<PathBuf>,
-}
-
-/// One rollback performed by the driver.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RecoveryEvent {
-    /// 1-based retry number.
-    pub attempt: u32,
-    /// Cycle at which the run failed.
-    pub failed_at: Cycle,
-    /// Cycle of the checkpoint the machine was rolled back to.
-    pub resumed_from: Cycle,
-    /// Rendered form of the error that triggered the rollback.
-    pub error: String,
-}
-
-/// What the recovery driver did during a run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RecoveryReport {
-    /// Rollbacks performed, in order.
-    pub events: Vec<RecoveryEvent>,
-    /// Checkpoints taken (excluding the implicit run-start state).
-    pub checkpoints_taken: u64,
-}
-
-impl RecoveryReport {
-    /// True when the run needed at least one rollback to complete.
-    #[must_use]
-    pub fn recovered(&self) -> bool {
-        !self.events.is_empty()
-    }
-
-    /// Human-readable multi-line summary.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "recovery report: {} checkpoint(s), {} rollback(s)\n",
-            self.checkpoints_taken,
-            self.events.len()
-        );
-        for e in &self.events {
-            out.push_str(&format!(
-                "  attempt {}: failed at cycle {} ({}), resumed from cycle {}\n",
-                e.attempt, e.failed_at, e.error, e.resumed_from
-            ));
-        }
-        out
-    }
-}
 
 /// FNV-1a hash of the compact-JSON form of `cfg` — the manifest's
 /// configuration fingerprint.
@@ -288,86 +217,6 @@ pub fn restore_run(
     Ok(())
 }
 
-fn recoverable(err: &SimError) -> bool {
-    matches!(err, SimError::Watchdog(_) | SimError::Integrity(_))
-}
-
-/// Runs `sys` to completion with periodic checkpoints and
-/// rollback-and-retry recovery (see the module docs).
-///
-/// With `policy.max_recoveries == 0` this behaves exactly like
-/// [`System::run`]: the first error propagates unchanged.
-///
-/// # Errors
-/// The original (first-un-retried or non-recoverable) [`SimError`]; disk
-/// checkpoint failures surface as [`SimError::Snapshot`].
-pub fn run_with_recovery(
-    sys: &mut System,
-    instructions: u64,
-    max_cycles: Cycle,
-    mix_id: &str,
-    seed: u64,
-    policy: &RecoveryPolicy,
-) -> Result<(RunResult, RecoveryReport), SimError> {
-    let interval = policy
-        .checkpoint_every
-        .or(sys.config().integrity.checkpoint_every);
-    let mut run = sys.run_begin(instructions, max_cycles);
-    let baseline = (sys.now(), sys.save_state(), run.save_state());
-    // The most recent periodic checkpoint; `None` once consumed by a
-    // rollback (the escalation rule in the module docs).
-    let mut last_good: Option<(Cycle, Value, Value)> = None;
-    let mut next_checkpoint = interval.map(|i| sys.now() + i);
-    let mut report = RecoveryReport::default();
-    let mut attempts = 0u32;
-    loop {
-        match sys.run_step(&mut run) {
-            Ok(true) => {
-                let Some(at) = next_checkpoint else { continue };
-                if sys.now() < at {
-                    continue;
-                }
-                if let Some(path) = &policy.checkpoint_path {
-                    write_snapshot(path, sys, &run, mix_id, seed)?;
-                }
-                last_good = Some((sys.now(), sys.save_state(), run.save_state()));
-                sys.obs().mark("checkpoint", sys.now());
-                report.checkpoints_taken += 1;
-                next_checkpoint = Some(
-                    sys.now() + interval.expect("invariant: next_checkpoint implies interval"),
-                );
-            }
-            Ok(false) => break,
-            Err(err) if attempts < policy.max_recoveries && recoverable(&err) => {
-                attempts += 1;
-                let failed_at = sys.now();
-                let (from_cycle, sys_state, run_state) = match last_good.take() {
-                    Some(cp) => cp,
-                    None => baseline.clone(),
-                };
-                sys.restore_state(&sys_state)?;
-                run.restore_state(&run_state)?;
-                // A fault plan that already tripped the run once would
-                // trip the retry identically (the machine is
-                // deterministic) — quarantine it.
-                sys.quarantine_faults();
-                // The re-simulated interval shows up as a slice on the
-                // trace's recovery track.
-                sys.obs().window("rollback", from_cycle, failed_at);
-                report.events.push(RecoveryEvent {
-                    attempt: attempts,
-                    failed_at,
-                    resumed_from: from_cycle,
-                    error: err.to_string(),
-                });
-            }
-            Err(err) => return Err(err),
-        }
-    }
-    let result = sys.run_finish(&run, mix_id)?;
-    Ok((result, report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,97 +235,6 @@ mod tests {
                 Box::new(VecTrace::new(format!("stream{c}"), ops)) as Box<dyn TraceSource>
             })
             .collect()
-    }
-
-    fn stalled_cfg() -> SystemConfig {
-        let mut cfg = SystemConfig::small();
-        cfg.faults.stall_vault = 0;
-        cfg.faults.stall_vault_from = 1;
-        cfg.integrity.watchdog_cycles = 5_000;
-        cfg
-    }
-
-    #[test]
-    fn watchdog_trip_recovers_via_rollback() {
-        let cfg = stalled_cfg();
-        let mut sys = System::new(&cfg, SchemeKind::Nopf, traces(&cfg)).unwrap();
-        let policy = RecoveryPolicy {
-            max_recoveries: 2,
-            checkpoint_every: Some(2_000),
-            checkpoint_path: None,
-        };
-        let (result, report) =
-            run_with_recovery(&mut sys, 20_000, 2_000_000, "recover", 0, &policy).unwrap();
-        assert!(report.recovered(), "the stall must force a rollback");
-        assert_eq!(report.events[0].attempt, 1);
-        assert!(report.events[0].error.contains("progress"), "{report:?}");
-        assert!(
-            report.events[0].resumed_from <= report.events[0].failed_at,
-            "rollback goes backward"
-        );
-        assert!(result.cycles > 0);
-        for &ipc in &result.ipc {
-            assert!(ipc > 0.0, "recovered run still produces IPC");
-        }
-        let rendered = report.render();
-        assert!(rendered.contains("rollback"), "{rendered}");
-    }
-
-    #[test]
-    fn zero_max_recoveries_propagates_the_original_error() {
-        let cfg = stalled_cfg();
-        let mut sys = System::new(&cfg, SchemeKind::Nopf, traces(&cfg)).unwrap();
-        let policy = RecoveryPolicy::default(); // max_recoveries = 0
-        let err = run_with_recovery(&mut sys, 20_000, 2_000_000, "norec", 0, &policy).unwrap_err();
-        assert!(matches!(err, SimError::Watchdog(_)), "got {err}");
-    }
-
-    #[test]
-    fn recovered_run_matches_a_fault_free_run() {
-        // Rolling back to the pre-fault baseline and quarantining the
-        // plan must yield the exact metrics of a run that never faulted.
-        let clean_cfg = {
-            let mut c = stalled_cfg();
-            c.faults = Default::default();
-            c
-        };
-        let mut clean = System::new(&clean_cfg, SchemeKind::Nopf, traces(&clean_cfg)).unwrap();
-        let expected = clean.run(10_000, 1_000_000, "clean").unwrap();
-
-        let cfg = stalled_cfg();
-        let mut sys = System::new(&cfg, SchemeKind::Nopf, traces(&cfg)).unwrap();
-        let policy = RecoveryPolicy {
-            max_recoveries: 1,
-            checkpoint_every: None, // only the baseline exists
-            checkpoint_path: None,
-        };
-        let (result, report) =
-            run_with_recovery(&mut sys, 10_000, 1_000_000, "clean", 0, &policy).unwrap();
-        assert!(report.recovered());
-        assert_eq!(result.ipc, expected.ipc);
-        assert_eq!(result.cycles, expected.cycles);
-        assert_eq!(result.vaults, expected.vaults);
-    }
-
-    #[test]
-    fn duplicate_response_fault_recovers_as_integrity_rollback() {
-        let mut cfg = SystemConfig::small();
-        cfg.integrity.audit = true;
-        cfg.faults.duplicate_response_every = 50;
-        let mut sys = System::new(&cfg, SchemeKind::Nopf, traces(&cfg)).unwrap();
-        let policy = RecoveryPolicy {
-            max_recoveries: 3,
-            checkpoint_every: None,
-            checkpoint_path: None,
-        };
-        let (_, report) =
-            run_with_recovery(&mut sys, 10_000, 1_000_000, "dup", 0, &policy).unwrap();
-        assert!(report.recovered());
-        assert!(
-            report.events[0].error.contains("twice"),
-            "expected a duplicate-completion error, got {:?}",
-            report.events[0]
-        );
     }
 
     #[test]

@@ -36,10 +36,9 @@
 //!
 //! [`run_matrix`]: crate::experiment::run_matrix
 
-use crate::experiment::RunLength;
+use crate::experiment::{RunLength, RunSpec};
 use crate::metrics::RunResult;
-use crate::recovery::{config_hash, read_snapshot, restore_run, write_snapshot};
-use crate::system::System;
+use crate::recovery::config_hash;
 use camps_obs::{ObsConfig, TraceHandle};
 use camps_prefetch::SchemeKind;
 use camps_types::clock::Cycle;
@@ -187,7 +186,7 @@ pub struct SweepPolicy {
     /// this interval while the sweep runs. `None` (the default) keeps
     /// sweeps silent for scripting.
     pub progress_every: Option<Duration>,
-    /// Injected faults (tests, soak, CI fault drills).
+    /// Injected faults (tests and CI fault drills).
     pub faults: SweepFaultPlan,
 }
 
@@ -560,119 +559,74 @@ fn retryable(err: &SimError) -> bool {
     )
 }
 
-/// One simulation attempt: build (or restore) the machine, run it under
-/// the deadline, checkpoint periodically.
-#[allow(clippy::too_many_arguments)]
+/// One simulation attempt through the run driver: resume from the job's
+/// checkpoint when one verifies, else start fresh, and apply the
+/// injected fault.
 fn run_attempt(
-    cfg: &SystemConfig,
-    mix: &Mix,
-    scheme: SchemeKind,
-    len: &RunLength,
-    seed: u64,
-    ckpt: Option<&Path>,
-    checkpoint_every: Option<Cycle>,
-    deadline: Option<Duration>,
+    job: &RunSpec,
     fault: Option<InjectedFault>,
     resumed: &mut bool,
 ) -> Result<RunResult, SimError> {
-    let started = Instant::now();
-    let mut effective;
-    let cfg = match fault {
-        Some(InjectedFault::PanicOnStart) => {
-            panic!("injected sweep fault: panic on start");
+    if let Some(InjectedFault::PanicOnStart) = fault {
+        panic!("injected sweep fault: panic on start");
+    }
+    let stalled;
+    let mut spec = job.clone();
+    if let Some(InjectedFault::StallVault { vault, from }) = fault {
+        // A config-mutating fault would write checkpoints a clean retry
+        // cannot restore (the manifest pins the config hash) — such
+        // attempts neither resume nor checkpoint.
+        let mut cfg = spec.cfg.clone();
+        cfg.faults.stall_vault = vault;
+        cfg.faults.stall_vault_from = from;
+        stalled = cfg;
+        spec.cfg = &stalled;
+        spec.checkpoint = None;
+    }
+    spec.resume = spec
+        .checkpoint
+        .as_ref()
+        .map(|(_, path)| path.clone())
+        .filter(|path| path.exists());
+    // A checkpoint from an earlier attempt (or a killed sweep) that
+    // does not verify is dropped, and the attempt starts fresh.
+    let mut run = match spec.start() {
+        Ok(run) => {
+            *resumed = spec.resume.is_some();
+            run
         }
-        Some(InjectedFault::SleepOnStart(d)) => {
-            std::thread::sleep(d);
-            cfg
+        Err(_) if spec.resume.is_some() => {
+            if let Some(path) = spec.resume.take() {
+                std::fs::remove_file(path).ok();
+            }
+            spec.start()?
         }
-        Some(InjectedFault::StallVault { vault, from }) => {
-            effective = cfg.clone();
-            effective.faults.stall_vault = vault;
-            effective.faults.stall_vault_from = from;
-            &effective
-        }
-        _ => cfg,
+        Err(err) => return Err(err),
     };
-    // A config-mutating fault would write checkpoints a clean retry
-    // cannot restore (the manifest pins the config hash) — suppress
-    // checkpointing for such attempts.
-    let cfg_mutated = matches!(fault, Some(InjectedFault::StallVault { .. }));
+    if let Some(InjectedFault::SleepOnStart(d)) = fault {
+        std::thread::sleep(d);
+    }
     let panic_at = match fault {
         Some(InjectedFault::PanicAtCycle(c)) => Some(c),
         _ => None,
     };
-
-    let capacity = cfg.cube_map()?.capacity_bytes();
-    let traces = mix.build_traces(capacity, seed)?;
-    let mut sys = System::new(cfg, scheme, traces)?;
-    let mut run = None;
-    if let Some(path) = ckpt.filter(|p| p.exists() && !cfg_mutated) {
-        // A checkpoint from an earlier attempt (or a killed sweep):
-        // resume from it when it verifies, fall back to a fresh start
-        // (and drop the bad file) when it does not.
-        match read_snapshot(path).and_then(|(manifest, state)| {
-            let mut restored = sys.run_begin(0, 0);
-            restore_run(&mut sys, &mut restored, &manifest, &state)?;
-            Ok(restored)
-        }) {
-            Ok(restored) => {
-                run = Some(restored);
-                *resumed = true;
-            }
-            Err(_) => {
-                std::fs::remove_file(path).ok();
-            }
-        }
-    }
-    let mut run = match run {
-        Some(r) => r,
-        None => {
-            sys.warmup(len.warmup_instructions);
-            sys.run_begin(len.instructions, len.max_cycles)
-        }
-    };
-
-    let mut next_ckpt = checkpoint_every.map(|i| sys.now() + i);
     loop {
-        if let Some(c) = panic_at {
-            if sys.now() >= c {
-                panic!("injected sweep fault: panic at cycle {c}");
-            }
+        if let Some(c) = panic_at.filter(|&c| run.now() >= c) {
+            panic!("injected sweep fault: panic at cycle {c}");
         }
-        if let Some(limit) = deadline {
-            let elapsed = started.elapsed();
-            if elapsed > limit {
-                return Err(SimError::Deadline {
-                    elapsed_secs: elapsed.as_secs_f64(),
-                    limit_secs: limit.as_secs_f64(),
-                });
-            }
-        }
-        if !sys.run_step(&mut run)? {
+        if !run.step()? {
             break;
         }
-        if let (Some(at), Some(path), Some(every)) = (next_ckpt, ckpt, checkpoint_every) {
-            if sys.now() >= at && !cfg_mutated {
-                write_snapshot(path, &sys, &run, mix.id, seed)?;
-                next_ckpt = Some(sys.now() + every);
-            }
-        }
     }
-    sys.run_finish(&run, mix.id)
+    run.finish()
 }
 
 /// Runs one job to completion or quarantine: attempts with isolation,
 /// deadline, backoff, and resume-from-checkpoint.
-#[allow(clippy::too_many_arguments)]
 fn run_job(
-    cfg: &SystemConfig,
-    mix: &Mix,
-    scheme: SchemeKind,
-    len: &RunLength,
-    seed: u64,
+    job: &RunSpec,
     job_index: usize,
     policy: &SweepPolicy,
-    ckpt_path: Option<&Path>,
     tracer: &TraceHandle,
     sweep_started: Instant,
     key: &JobKey,
@@ -683,20 +637,7 @@ fn run_job(
         stats.attempts += 1;
         let fault = policy.faults.fault_for(job_index, attempt);
         let mut resumed = false;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_attempt(
-                cfg,
-                mix,
-                scheme,
-                len,
-                seed,
-                ckpt_path,
-                policy.checkpoint_every,
-                policy.job_deadline,
-                fault,
-                &mut resumed,
-            )
-        }));
+        let outcome = catch_unwind(AssertUnwindSafe(|| run_attempt(job, fault, &mut resumed)));
         if attempt > 0 && resumed {
             stats.resumed_retries += 1;
         }
@@ -708,7 +649,7 @@ fn run_job(
         };
         match result {
             Ok(run) => {
-                if let Some(path) = ckpt_path {
+                if let Some((_, path)) = &job.checkpoint {
                     std::fs::remove_file(path).ok();
                 }
                 return (Ok(run), stats);
@@ -872,20 +813,15 @@ pub fn run_sweep(
                     return (Ok((*prev).clone()), JobStats::default(), true, 0.0);
                 }
                 let job_started = Instant::now();
-                let ckpt = scratch.as_ref().map(|d| ckpt_file(d, key));
-                let (result, stats) = run_job(
-                    cfg,
-                    mix,
-                    *scheme,
-                    len,
-                    seed,
-                    *index,
-                    policy,
-                    ckpt.as_deref(),
-                    &tracer,
-                    sweep_started,
-                    key,
-                );
+                let job = RunSpec {
+                    checkpoint: policy
+                        .checkpoint_every
+                        .zip(scratch.as_ref())
+                        .map(|(every, dir)| (every, ckpt_file(dir, key))),
+                    deadline: policy.job_deadline,
+                    ..RunSpec::new(cfg, mix, *scheme, *len, seed)
+                };
+                let (result, stats) = run_job(&job, *index, policy, &tracer, sweep_started, key);
                 if let (Ok(run), Some(j)) = (&result, journal.as_ref()) {
                     if j.append(key, run).is_err() {
                         journal_append_errors.fetch_add(1, std::sync::atomic::Ordering::Relaxed);

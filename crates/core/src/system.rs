@@ -15,7 +15,7 @@ use camps_prefetch::SchemeKind;
 use camps_stats::{AuditLedger, Running};
 use camps_types::addr::PhysAddr;
 use camps_types::clock::Cycle;
-use camps_types::config::{FaultPlan, SystemConfig};
+use camps_types::config::SystemConfig;
 use camps_types::error::{IntegrityError, SimError, WatchdogReport};
 use camps_types::request::{AccessKind, CoreId, MemRequest, RequestId};
 use camps_types::snapshot::{decode, field, Snapshot};
@@ -578,8 +578,8 @@ impl MemoryPort for MemorySubsystem {
 }
 
 /// Loop bookkeeping for an in-flight [`System::run`] invocation, split
-/// out so the recovery driver can checkpoint and roll it back alongside
-/// the machine itself.
+/// out so a driver can checkpoint and restore it alongside the machine
+/// itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunState {
     /// Cycle the run started at.
@@ -819,12 +819,10 @@ impl System {
         self.scheme
     }
 
-    /// Disables every scheduled fault. The recovery driver calls this
-    /// after a rollback so the retry does not re-trip on the same
-    /// injected fault (the plan is "quarantined").
-    pub fn quarantine_faults(&mut self) {
-        self.cfg.faults = FaultPlan::default();
-        self.mem.topology_mut().set_faults(FaultPlan::default());
+    /// The self-profiler, for a driver that steps the run loop itself
+    /// and must bracket it in [`Comp::RunLoop`] as [`Self::run`] does.
+    pub(crate) fn profiler_mut(&mut self) -> &mut Profiler {
+        &mut self.prof
     }
 
     /// Functionally warms the caches by streaming `instructions` per core
@@ -891,9 +889,9 @@ impl System {
     }
 
     /// Starts a run: captures the loop bookkeeping that [`Self::run_step`]
-    /// advances. Split out (with [`Self::run_finish`]) so the recovery
-    /// driver can interleave checkpoints with the cycle loop and roll the
-    /// bookkeeping back together with the machine.
+    /// advances. Split out (with [`Self::run_finish`]) so a driver can
+    /// interleave checkpoints and deadline checks with the cycle loop and
+    /// snapshot the bookkeeping together with the machine.
     pub fn run_begin(&mut self, instructions: u64, max_cycles: Cycle) -> RunState {
         RunState {
             start: self.now,

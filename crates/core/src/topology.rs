@@ -24,7 +24,7 @@ use camps_obs::{Comp, Profiler, TraceHandle};
 use camps_prefetch::SchemeKind;
 use camps_types::addr::{CubeMap, PhysAddr};
 use camps_types::clock::Cycle;
-use camps_types::config::{FaultPlan, SystemConfig};
+use camps_types::config::SystemConfig;
 use camps_types::error::{SimError, VaultSnapshot};
 use camps_types::request::{MemRequest, MemResponse};
 use camps_types::snapshot::{decode, field, Snapshot};
@@ -327,13 +327,6 @@ impl Topology {
             .iter()
             .flat_map(HmcDevice::vault_snapshots)
             .collect()
-    }
-
-    /// Replaces the fault-injection schedule on every cube.
-    pub fn set_faults(&mut self, faults: FaultPlan) {
-        for c in &mut self.cubes {
-            c.set_faults(faults);
-        }
     }
 }
 

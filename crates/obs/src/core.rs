@@ -69,12 +69,6 @@ enum TraceRecord {
     /// An instantaneous event with a runtime-built name (sweep-level
     /// retry/quarantine markers carrying the job's identity).
     Instant { name: String, at: Cycle },
-    /// A recovery-track interval (checkpoint, rollback replay).
-    Window {
-        name: &'static str,
-        start: Cycle,
-        end: Cycle,
-    },
 }
 
 /// All observability state. Lives behind `Arc<Mutex<..>>`; deliberately
@@ -128,9 +122,7 @@ impl ObsCore {
                 TraceRecord::Span { stage, .. } => stage.name(),
                 TraceRecord::Fetch { .. } => "row_fetch",
                 // Rare, load-bearing events always survive the filter.
-                TraceRecord::Mark { .. }
-                | TraceRecord::Instant { .. }
-                | TraceRecord::Window { .. } => "",
+                TraceRecord::Mark { .. } | TraceRecord::Instant { .. } => "",
             };
             if !name.is_empty() && !name.contains(f.as_str()) {
                 return;
@@ -285,10 +277,6 @@ impl ObsCore {
         self.push(TraceRecord::Instant { name, at });
     }
 
-    pub(crate) fn window(&mut self, name: &'static str, start: Cycle, end: Cycle) {
-        self.push(TraceRecord::Window { name, start, end });
-    }
-
     pub(crate) fn push_sample(&mut self, sample: MetricsSample) {
         if self.samples.len() >= METRICS_ROW_CAP {
             self.samples.remove(0);
@@ -339,8 +327,8 @@ impl ObsCore {
 
     /// Chrome trace-event JSON (object form). Request spans are async
     /// begin/end pairs keyed by request id so overlapping lifetimes get
-    /// their own lanes in Perfetto; recovery intervals are complete
-    /// (`X`) slices; faults and watchdog trips are instants.
+    /// their own lanes in Perfetto; faults, watchdog trips and
+    /// checkpoints are instants.
     pub(crate) fn render_trace_json(&self) -> String {
         let mut out = String::with_capacity(128 + self.ring.len() * 160);
         out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
@@ -417,14 +405,6 @@ impl ObsCore {
                         out,
                         ",\n{{\"ph\":\"i\",\"s\":\"g\",\"name\":\"{name}\",\
                          \"pid\":1,\"tid\":0,\"ts\":{at}}}"
-                    );
-                }
-                TraceRecord::Window { name, start, end } => {
-                    let dur = end.saturating_sub(*start);
-                    let _ = write!(
-                        out,
-                        ",\n{{\"ph\":\"X\",\"cat\":\"recovery\",\"name\":\"{name}\",\
-                         \"pid\":1,\"tid\":0,\"ts\":{start},\"dur\":{dur}}}"
                     );
                 }
             }
@@ -524,7 +504,6 @@ mod tests {
         one_read(&mut core, 2, 130, ServiceSource::PrefetchBuffer);
         core.fetch_span(3, 1, 42, 90, 160);
         core.mark("fault_drop_request", 140);
-        core.window("rollback", 100, 150);
 
         let text = core.render_trace_json();
         let doc: Value = serde_json::from_str(&text).expect("trace JSON must parse");
@@ -569,7 +548,6 @@ mod tests {
             "resp_link",
             "row_fetch",
             "fault_drop_request",
-            "rollback",
         ] {
             assert!(names.contains(expected), "missing span type {expected}");
         }
@@ -596,7 +574,7 @@ mod tests {
     }
 
     #[test]
-    fn filter_keeps_marks_and_windows() {
+    fn filter_keeps_marks() {
         let mut core = ObsCore::new(&ObsConfig {
             trace_out: Some(std::path::PathBuf::from("unused.json")),
             trace_filter: Some("bank".to_string()),

@@ -7,8 +7,8 @@
 //!    vault queue → bank (or prefetch buffer) → response link. Completed
 //!    lifecycles become per-stage spans in a bounded ring buffer and are
 //!    exported as Chrome trace-event JSON, loadable in Perfetto
-//!    (`ui.perfetto.dev`). Watchdog trips, injected faults, checkpoints
-//!    and rollbacks appear as instants/slices on a `recovery` track.
+//!    (`ui.perfetto.dev`). Watchdog trips, injected faults and
+//!    checkpoints appear as instants.
 //! 2. **Metrics registry.** The system layer pushes a [`MetricsSample`]
 //!    every `--metrics-every N` cycles; the series is exported as JSONL
 //!    (or CSV, chosen by file extension). Rows carry a schema version
@@ -65,7 +65,7 @@ pub struct ObsConfig {
     /// Write a Chrome trace-event JSON here after the run.
     pub trace_out: Option<PathBuf>,
     /// Keep only spans whose stage name contains this substring
-    /// (instants and recovery slices are always kept).
+    /// (instants are always kept).
     pub trace_filter: Option<String>,
     /// Ring-buffer capacity in events; `0` means [`TRACE_RING_DEFAULT`].
     pub trace_capacity: usize,
@@ -243,13 +243,6 @@ impl TraceHandle {
         self.with(|c| c.instant(name, at));
     }
 
-    /// Records a cycle interval on the recovery track (checkpoint write,
-    /// rollback replay window).
-    #[inline]
-    pub fn window(&self, name: &'static str, start: Cycle, end: Cycle) {
-        self.with(|c| c.window(name, start, end));
-    }
-
     /// Appends one metrics sample to the time-series.
     #[inline]
     pub fn push_sample(&self, sample: MetricsSample) {
@@ -395,10 +388,6 @@ impl TraceHandle {
     /// No-op.
     #[inline]
     pub fn instant(&self, _name: String, _at: Cycle) {}
-
-    /// No-op.
-    #[inline]
-    pub fn window(&self, _name: &'static str, _start: Cycle, _end: Cycle) {}
 
     /// No-op.
     #[inline]

@@ -427,9 +427,11 @@ pub struct IntegrityConfig {
     /// retires an instruction and no memory response is delivered for this
     /// many CPU cycles while work is pending. 0 disables the watchdog.
     pub watchdog_cycles: Cycle,
-    /// Periodic checkpoint interval in CPU cycles for recovery-enabled
-    /// runs. `None` disables periodic checkpoints; `Some(0)` is rejected
-    /// by validation ([`ConfigError::ZeroCheckpointInterval`]).
+    /// Unused: the run driver takes its checkpoint schedule from
+    /// `camps::experiment::RunSpec::checkpoint`. Kept so the serialized
+    /// config, and the config hash that checkpoint manifests pin, stay
+    /// unchanged. `Some(0)` is still rejected by validation
+    /// ([`ConfigError::ZeroCheckpointInterval`]).
     #[serde(default)]
     pub checkpoint_every: Option<Cycle>,
 }

@@ -12,8 +12,7 @@
 //! cargo run --release --example latency_breakdown [MIX]
 //! ```
 
-use camps::experiment::run_mix_observed;
-use camps::system::Engine;
+use camps::experiment::RunSpec;
 use camps_obs::{ObsConfig, TraceHandle};
 use camps_sim::prelude::*;
 use rayon::prelude::*;
@@ -41,15 +40,11 @@ fn main() {
     let results: Vec<RunResult> = SchemeKind::PAPER
         .par_iter()
         .map(|&s| {
-            run_mix_observed(
-                &cfg,
-                mix,
-                s,
-                &RunLength::quick(),
-                7,
-                Engine::Event,
-                &obs_cfg,
-            )
+            RunSpec {
+                obs: Some(obs_cfg.clone()),
+                ..RunSpec::new(&cfg, mix, s, RunLength::quick(), 7)
+            }
+            .run()
             .expect("quick run")
         })
         .collect();

@@ -1,14 +1,13 @@
-//! Checkpoint/restore and rollback-and-retry integration tests.
+//! Checkpoint/restore integration tests.
 //!
-//! The determinism contract (ISSUE acceptance): run to cycle K,
-//! snapshot to disk, rebuild a fresh machine from the file, continue —
-//! final stats must be bit-identical to the uninterrupted run, for every
-//! PAPER scheme. Plus the recovery e2e: a fault-injected watchdog trip
-//! completes via rollback when recovery is enabled, and propagates the
-//! original typed error when it is not.
+//! The determinism contract: run to cycle K, snapshot to disk, rebuild a
+//! fresh machine from the file, continue — final stats must be
+//! bit-identical to the uninterrupted run, for every PAPER scheme. Plus
+//! the fault path: a fault-injected watchdog trip on a checkpointed run
+//! propagates the original typed error.
 
-use camps::experiment::{resume_mix, run_mix_recoverable};
-use camps::recovery::{read_snapshot, snapshot_to_string, RecoveryPolicy, SNAPSHOT_FORMAT_VERSION};
+use camps::experiment::RunSpec;
+use camps::recovery::{read_snapshot, snapshot_to_string, SNAPSHOT_FORMAT_VERSION};
 use camps::system::Engine;
 use camps::System;
 use camps_obs::ObsConfig;
@@ -35,20 +34,22 @@ fn snapshot_restore_is_deterministic_for_every_paper_scheme() {
     let mix = Mix::by_id("HM1").expect("known mix");
     for scheme in SchemeKind::PAPER {
         let path = tmp(&format!("determinism-{scheme:?}.ckpt.json"));
-        let policy = RecoveryPolicy {
-            max_recoveries: 0,
-            checkpoint_every: Some(8_000),
-            checkpoint_path: Some(path.clone()),
-        };
-        let (full, report) =
-            run_mix_recoverable(&cfg, mix, scheme, &tiny(), 0xFEED, &policy).expect("clean run");
+        std::fs::remove_file(&path).ok();
+        let full = RunSpec {
+            checkpoint: Some((8_000, path.clone())),
+            ..RunSpec::new(&cfg, mix, scheme, tiny(), 0xFEED)
+        }
+        .run()
+        .expect("clean run");
         assert!(
-            report.checkpoints_taken > 0,
+            path.exists(),
             "{scheme:?}: run finished without leaving a checkpoint"
         );
         // Fresh machine, rebuilt from config + manifest, state overlaid
         // from the file, run to completion.
-        let resumed = resume_mix(&cfg, &path).expect("resume");
+        let resumed = RunSpec::from_snapshot(&cfg, &path)
+            .and_then(|spec| spec.run())
+            .expect("resume");
         assert_eq!(full.ipc, resumed.ipc, "{scheme:?}: per-core IPC drifted");
         assert_eq!(
             full.cycles, resumed.cycles,
@@ -64,44 +65,18 @@ fn snapshot_restore_is_deterministic_for_every_paper_scheme() {
 }
 
 #[test]
-fn watchdog_trip_with_recovery_enabled_completes_via_rollback() {
-    let mut cfg = SystemConfig::paper_default();
-    cfg.faults.stall_vault = 3;
-    cfg.faults.stall_vault_from = 1;
-    cfg.integrity.watchdog_cycles = 20_000;
-    let mix = Mix::by_id("HM1").expect("known mix");
-    let policy = RecoveryPolicy {
-        max_recoveries: 2,
-        checkpoint_every: Some(10_000),
-        checkpoint_path: None,
-    };
-    let (result, report) =
-        run_mix_recoverable(&cfg, mix, SchemeKind::CampsMod, &tiny(), 0xFEED, &policy)
-            .expect("recovery must complete the run");
-    assert!(report.recovered(), "the stall must force a rollback");
-    assert_eq!(report.events[0].attempt, 1);
-    assert!(
-        report.events[0].error.contains("no forward progress"),
-        "report must carry the watchdog diagnosis: {:?}",
-        report.events[0]
-    );
-    assert!(result.cycles > 0 && result.ipc.iter().all(|&i| i > 0.0));
-}
-
-#[test]
 fn watchdog_trip_with_zero_budget_propagates_the_typed_error() {
     let mut cfg = SystemConfig::paper_default();
     cfg.faults.stall_vault = 3;
     cfg.faults.stall_vault_from = 1;
     cfg.integrity.watchdog_cycles = 20_000;
     let mix = Mix::by_id("HM1").expect("known mix");
-    let policy = RecoveryPolicy {
-        max_recoveries: 0,
-        checkpoint_every: Some(10_000),
-        checkpoint_path: None,
-    };
-    let err = run_mix_recoverable(&cfg, mix, SchemeKind::CampsMod, &tiny(), 0xFEED, &policy)
-        .expect_err("no budget: the wedge must propagate");
+    let err = RunSpec {
+        checkpoint: Some((10_000, tmp("wedged.ckpt.json"))),
+        ..RunSpec::new(&cfg, mix, SchemeKind::CampsMod, tiny(), 0xFEED)
+    }
+    .run()
+    .expect_err("the wedge must propagate");
     assert!(
         matches!(err, SimError::Watchdog(_)),
         "the original typed error must survive, got {err}"
@@ -279,7 +254,9 @@ fn committed_fixture_restores_and_completes() {
     assert_eq!(manifest.format, SNAPSHOT_FORMAT_VERSION);
     assert_eq!(manifest.mix_id, FIXTURE_MIX);
     assert_eq!(manifest.seed, FIXTURE_SEED);
-    let result = resume_mix(&fixture_cfg(), &path).expect("fixture must resume");
+    let result = RunSpec::from_snapshot(&fixture_cfg(), &path)
+        .and_then(|spec| spec.run())
+        .expect("fixture must resume");
     assert_eq!(result.mix_id, FIXTURE_MIX);
     assert_eq!(result.ipc.len(), 8);
     assert!(

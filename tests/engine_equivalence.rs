@@ -1,4 +1,4 @@
-//! Polling/event engine equivalence (ISSUE 4 acceptance).
+//! Polling/event engine equivalence.
 //!
 //! The event engine must be an *engine*, not a model: for every paper
 //! scheme it must produce bit-identical results to the per-cycle polling
@@ -7,9 +7,10 @@
 //! [`camps::metrics::RunResult`] values, which covers IPC, cycle counts,
 //! every vault/core counter, AMAT accumulators, and the energy model.
 
-use camps::experiment::{run_mix_with_engine, RunLength};
+use camps::experiment::{RunLength, RunSpec};
 use camps::system::Engine;
 use camps::System;
+use camps_obs::{ObsConfig, TraceHandle};
 use camps_prefetch::SchemeKind;
 use camps_types::config::SystemConfig;
 use camps_types::snapshot::Snapshot;
@@ -33,10 +34,16 @@ fn every_paper_scheme_is_bit_identical_across_engines() {
     for mix_id in ["HM1", "LM1"] {
         let mix = Mix::by_id(mix_id).unwrap();
         for scheme in SchemeKind::PAPER {
-            let polled =
-                run_mix_with_engine(&cfg, mix, scheme, &mini(), 11, Engine::Polling).unwrap();
-            let evented =
-                run_mix_with_engine(&cfg, mix, scheme, &mini(), 11, Engine::Event).unwrap();
+            let run = |engine| {
+                RunSpec {
+                    engine,
+                    ..RunSpec::new(&cfg, mix, scheme, mini(), 11)
+                }
+                .run()
+                .unwrap()
+            };
+            let polled = run(Engine::Polling);
+            let evented = run(Engine::Event);
             assert_eq!(
                 canonical(&polled),
                 canonical(&evented),
@@ -90,4 +97,54 @@ fn snapshots_cross_engines_in_both_directions() {
             "{first:?} snapshot did not continue identically under {second:?}"
         );
     }
+}
+
+/// The engine choice must survive checkpointing: a checkpointed
+/// `Engine::Polling` run really polls (the profiler records no wake
+/// jumps and no skipped cycles) and still matches the event engine.
+#[test]
+fn checkpointed_polling_run_polls_and_matches_the_event_engine() {
+    let cfg = SystemConfig::paper_default();
+    let mix = Mix::by_id("HM1").unwrap();
+    let dir = std::env::temp_dir().join("camps-engine-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |engine: Engine| {
+        let path = dir.join(format!("{engine:?}.ckpt.json"));
+        std::fs::remove_file(&path).ok();
+        let mut result = RunSpec {
+            engine,
+            obs: Some(ObsConfig {
+                profile: true,
+                ..ObsConfig::default()
+            }),
+            checkpoint: Some((2_000, path.clone())),
+            ..RunSpec::new(&cfg, mix, SchemeKind::Camps, mini(), 11)
+        }
+        .run()
+        .unwrap();
+        assert!(path.exists(), "{engine:?}: no checkpoint was written");
+        std::fs::remove_file(&path).ok();
+        let profile = result.profile.take();
+        (canonical(&result), profile)
+    };
+    let (polled, polled_profile) = run(Engine::Polling);
+    let (evented, evented_profile) = run(Engine::Event);
+    assert_eq!(polled, evented, "checkpointed engines diverged");
+    if !TraceHandle::compiled() {
+        return;
+    }
+    let polled_profile = polled_profile.expect("profiled run carries a summary");
+    assert!(
+        polled_profile
+            .wake_sources
+            .iter()
+            .all(|w| w.wakes == 0 && w.cycles_skipped == 0),
+        "the polling run jumped: {:?}",
+        polled_profile.wake_sources
+    );
+    let evented_profile = evented_profile.expect("profiled run carries a summary");
+    assert!(
+        evented_profile.wake_sources.iter().any(|w| w.wakes > 0),
+        "the event run recorded no wake jumps, so the check above proves nothing"
+    );
 }

@@ -1,13 +1,13 @@
-//! Observability smoke tests (ISSUE acceptance).
+//! Observability smoke tests.
 //!
 //! A traced run must export a Perfetto-loadable Chrome trace-event JSON
 //! carrying at least six distinct request-stage span types plus the
-//! recovery/fault events; the metrics time-series must be well-formed;
+//! checkpoint/fault events, even when the run fails; the metrics
+//! time-series must be well-formed;
 //! and on a merge-free read workload the per-stage latency breakdown
 //! must reconcile with the run's `amat_mem` within 1%.
 
-use camps::experiment::{run_mix_observed, run_mix_recoverable_observed, run_mix_with_engine};
-use camps::recovery::RecoveryPolicy;
+use camps::experiment::RunSpec;
 use camps::system::Engine;
 use camps_cpu::trace::{TraceOp, TraceSource, VecTrace};
 use camps_obs::{ObsConfig, METRICS_SCHEMA_VERSION};
@@ -31,12 +31,11 @@ fn tiny() -> RunLength {
     }
 }
 
-/// Event names in the trace, split by phase: async span begins (`b`),
-/// instants (`i`), and complete slices (`X`).
+/// Event names in the trace, split by phase: async span begins (`b`)
+/// and instants (`i`).
 struct TraceNames {
     spans: BTreeSet<String>,
     instants: BTreeSet<String>,
-    slices: BTreeSet<String>,
 }
 
 fn read_trace_names(path: &PathBuf) -> TraceNames {
@@ -49,7 +48,6 @@ fn read_trace_names(path: &PathBuf) -> TraceNames {
     let mut names = TraceNames {
         spans: BTreeSet::new(),
         instants: BTreeSet::new(),
-        slices: BTreeSet::new(),
     };
     for ev in events {
         let ev = ev.as_map().expect("event is an object");
@@ -58,7 +56,6 @@ fn read_trace_names(path: &PathBuf) -> TraceNames {
         let set = match ph {
             "b" => &mut names.spans,
             "i" => &mut names.instants,
-            "X" => &mut names.slices,
             _ => continue,
         };
         set.insert(name.to_string());
@@ -67,35 +64,31 @@ fn read_trace_names(path: &PathBuf) -> TraceNames {
 }
 
 #[test]
-fn traced_recovery_run_exports_all_span_kinds() {
+fn traced_failing_run_exports_all_span_kinds() {
     // The checkpoint_restore fault scenario, now observed: vault 3
-    // wedges, the watchdog trips, recovery rolls back and retries.
+    // wedges and the watchdog trips; the trace of the failed run must
+    // still be written.
     let mut cfg = SystemConfig::paper_default();
     cfg.faults.stall_vault = 3;
     cfg.faults.stall_vault_from = 1;
     cfg.integrity.watchdog_cycles = 20_000;
     let mix = Mix::by_id("HM1").expect("known mix");
-    let policy = RecoveryPolicy {
-        max_recoveries: 2,
-        checkpoint_every: Some(10_000),
-        checkpoint_path: None,
-    };
-    let trace_path = tmp("recovery.trace.json");
-    let obs_cfg = ObsConfig {
-        trace_out: Some(trace_path.clone()),
-        ..ObsConfig::default()
-    };
-    let (result, report) = run_mix_recoverable_observed(
-        &cfg,
-        mix,
-        SchemeKind::CampsMod,
-        &tiny(),
-        0xFEED,
-        &policy,
-        &obs_cfg,
-    )
-    .expect("recovery must complete the run");
-    assert!(report.recovered(), "the stall must force a rollback");
+    let trace_path = tmp("failing.trace.json");
+    std::fs::remove_file(&trace_path).ok();
+    let err = RunSpec {
+        obs: Some(ObsConfig {
+            trace_out: Some(trace_path.clone()),
+            ..ObsConfig::default()
+        }),
+        checkpoint: Some((10_000, tmp("failing.ckpt.json"))),
+        ..RunSpec::new(&cfg, mix, SchemeKind::CampsMod, tiny(), 0xFEED)
+    }
+    .run()
+    .expect_err("the stalled vault must fail the run");
+    assert!(
+        matches!(err, SimError::Watchdog(_)),
+        "the watchdog must trip, got {err}"
+    );
 
     let names = read_trace_names(&trace_path);
     assert!(
@@ -124,20 +117,6 @@ fn traced_recovery_run_exports_all_span_kinds() {
             names.instants
         );
     }
-    assert!(
-        names.slices.contains("rollback"),
-        "missing rollback slice in {:?}",
-        names.slices
-    );
-
-    // The breakdown rides in the result of an observed run.
-    let breakdown = result.stage_latency.expect("observed run has a breakdown");
-    assert_eq!(
-        breakdown.stages.len(),
-        camps_obs::STAGE_COUNT,
-        "fixed-width stage schema"
-    );
-    assert!(breakdown.demand_reads > 0);
     std::fs::remove_file(&trace_path).ok();
 }
 
@@ -151,16 +130,22 @@ fn metrics_series_is_well_formed_and_monotonic() {
         ..ObsConfig::default()
     };
     let cfg = SystemConfig::paper_default();
-    run_mix_observed(
-        &cfg,
-        mix,
-        SchemeKind::Camps,
-        &tiny(),
-        7,
-        Engine::Event,
-        &obs_cfg,
-    )
+    let result = RunSpec {
+        engine: Engine::Event,
+        obs: Some(obs_cfg),
+        ..RunSpec::new(&cfg, mix, SchemeKind::Camps, tiny(), 7)
+    }
+    .run()
     .expect("observed run");
+
+    // The breakdown rides in the result of an observed run.
+    let breakdown = result.stage_latency.expect("observed run has a breakdown");
+    assert_eq!(
+        breakdown.stages.len(),
+        camps_obs::STAGE_COUNT,
+        "fixed-width stage schema"
+    );
+    assert!(breakdown.demand_reads > 0);
 
     let text = std::fs::read_to_string(&metrics_path).expect("metrics file exists");
     let mut rows = 0u64;
@@ -246,8 +231,12 @@ fn stage_breakdown_reconciles_with_amat_on_merge_free_reads() {
 fn profiler_attributes_wall_time_without_perturbing_the_run() {
     let cfg = SystemConfig::paper_default();
     let mix = Mix::by_id("HM1").expect("known mix");
-    let plain = run_mix_with_engine(&cfg, mix, SchemeKind::Camps, &tiny(), 21, Engine::Event)
-        .expect("plain run");
+    let plain = RunSpec {
+        engine: Engine::Event,
+        ..RunSpec::new(&cfg, mix, SchemeKind::Camps, tiny(), 21)
+    }
+    .run()
+    .expect("plain run");
     assert!(
         plain.profile.is_none(),
         "profile must be absent unless requested"
@@ -259,15 +248,12 @@ fn profiler_attributes_wall_time_without_perturbing_the_run() {
         profile_out: Some(folded_path.clone()),
         ..ObsConfig::default()
     };
-    let mut profiled = run_mix_observed(
-        &cfg,
-        mix,
-        SchemeKind::Camps,
-        &tiny(),
-        21,
-        Engine::Event,
-        &obs_cfg,
-    )
+    let mut profiled = RunSpec {
+        engine: Engine::Event,
+        obs: Some(obs_cfg),
+        ..RunSpec::new(&cfg, mix, SchemeKind::Camps, tiny(), 21)
+    }
+    .run()
     .expect("profiled run");
 
     // Strip the host-timing payloads (wall-clock, so nondeterministic
