@@ -12,14 +12,13 @@ use camps_workloads::spec::profile_for;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let bench = args.first().map_or("lbm", String::as_str);
-    let scheme = match args.get(1).map(String::as_str) {
-        Some("base") => SchemeKind::Base,
-        Some("basehit") => SchemeKind::BaseHit,
-        Some("mmd") => SchemeKind::Mmd,
-        Some("camps") => SchemeKind::Camps,
-        Some("campsmod") => SchemeKind::CampsMod,
-        _ => SchemeKind::Nopf,
-    };
+    let scheme = args
+        .get(1)
+        .map_or(Ok(SchemeKind::Nopf), |s| s.parse())
+        .unwrap_or_else(|e| {
+            eprintln!("probe: {e}");
+            std::process::exit(1);
+        });
     let instrs: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(60_000);
 
     let cfg = SystemConfig::paper_default();

@@ -1,42 +1,48 @@
-//! `throughput` — engine throughput benchmark (simulated cycles/second).
+//! `throughput` — the engine bench: simulated cycles per host second,
+//! and what observing a run costs.
 //!
-//! Runs the same workloads under the polling and event engines, records
-//! wall-clock time and simulated cycles for each, verifies the two
-//! engines stayed bit-identical, and writes the numbers to
-//! `BENCH_engine.json`. Workloads cover both extremes:
+//! Runs each workload under the polling and the event engine, once plain
+//! and once with the host-side self-profiler on, and writes the numbers
+//! to `BENCH_engine.json`. Workloads cover both extremes:
 //!
 //! * `HM1` / `LM1` — real paper mixes (memory-busy; modest skipping),
 //! * `idle-heavy` — a synthetic trace whose ROB fills with compute
 //!   behind one outstanding load, so the machine sleeps for whole memory
 //!   round trips at a time; this is where time-skipping shines.
 //!
-//! The observability cost rides along: `HM1` is also run once under the
-//! event engine with full tracing + metrics sampling enabled, and the
-//! wall-clock ratio over the plain event run is reported as
-//! `obs_over_plain` (memory-busy = most requests per cycle = the worst
-//! case for per-request stamping).
+//! Each (workload, engine) entry reports the plain wall time, the
+//! profiled wall time and their ratio (`profiled_over_plain`, the
+//! profiler's cost), the share of the profiled wall time the span tree
+//! attributes to named components (`attributed_ratio` — anything
+//! unattributed is a profiler blind spot), the top components by
+//! exclusive time and, under the event engine, per-wake-source dispatch
+//! accounting. `HM1` is also run once under the event engine with full
+//! tracing and metrics sampling, reported as `obs_over_plain`
+//! (memory-busy = most requests per cycle = the worst case for
+//! per-request stamping). Every run must match the plain event run
+//! bit for bit once the blocks only an observed run carries are cleared.
 //!
 //! ```text
 //! cargo run --release -p camps-bench --bin throughput [-- --out FILE]
-//! cargo run --release -p camps-bench --bin throughput -- --trace-out hm1.trace.json
 //! cargo run --release -p camps-bench --bin throughput -- --check ci/perf_baseline.json
 //! ```
 //!
-//! `--trace-out` saves the traced run's Perfetto JSON (otherwise the
-//! trace is rendered and discarded — rendering cost stays in the
-//! measurement either way). `--check` reruns the `idle-heavy` workload
-//! and exits nonzero if the measured event-engine advantage (wall-clock
-//! speedup over polling) falls below 80% of the committed baseline's — a
-//! portable regression gate: absolute cycles/sec vary across machines,
-//! the *ratio* between two engines on the same machine does not. When
-//! the baseline carries an `obs_over_plain` entry the overhead ratio is
-//! gated the same way (against a generous ceiling).
+//! `--check` gates the numbers just written against the committed
+//! baseline and exits nonzero when
+//!
+//! * the idle-heavy event-over-polling speedup falls below 80% of the
+//!   baseline's,
+//! * the HM1 traced-over-plain overhead exceeds twice the baseline's, or
+//! * any entry attributes less than 90% of its profiled wall time.
+//!
+//! Absolute cycles per second vary across machines; ratios between two
+//! runs on the same machine do not, so the gates are portable.
 
 use camps::metrics::RunResult;
 use camps::system::Engine;
 use camps::System;
 use camps_cpu::trace::{TraceOp, TraceSource, VecTrace};
-use camps_obs::{ObsConfig, TraceHandle};
+use camps_obs::{ObsConfig, ProfileSummary};
 use camps_prefetch::SchemeKind;
 use camps_types::addr::PhysAddr;
 use camps_types::config::SystemConfig;
@@ -57,24 +63,17 @@ const CHECK_FLOOR: f64 = 0.8;
 /// overhead is a small ratio of two short wall-clock times, so it is far
 /// noisier than the engine speedup.
 const OVERHEAD_CEILING: f64 = 2.0;
-/// Workload used for the observability-overhead measurement.
+/// `--check` fails when an entry attributes less than this share of its
+/// profiled wall time to named components.
+const ATTRIBUTION_FLOOR: f64 = 0.9;
+/// Top-N components reported per entry.
+const TOP_COMPONENTS: usize = 6;
+/// Workload used for the tracing-overhead measurement.
 const OBS_WORKLOAD: &str = "HM1";
-/// Metrics sampling period for the observed run (cycles).
+/// Metrics sampling period for the traced run (cycles).
 const OBS_SAMPLE_EVERY: u64 = 1_000;
 
-/// One measured (workload, engine) cell.
-struct Sample {
-    workload: &'static str,
-    engine: &'static str,
-    cycles: u64,
-    wall_secs: f64,
-}
-
-impl Sample {
-    fn mcycles_per_sec(&self) -> f64 {
-        self.cycles as f64 / self.wall_secs.max(1e-9) / 1e6
-    }
-}
+const WORKLOADS: [&str; 3] = ["idle-heavy", "HM1", "LM1"];
 
 /// The config a workload runs under. The paper mixes use the Table I
 /// machine untouched; `idle-heavy` narrows it to one core so the whole
@@ -116,191 +115,334 @@ fn traces_for(cfg: &SystemConfig, workload: &str, seed: u64) -> Vec<Box<dyn Trac
     mix.build_traces(capacity, seed).expect("traces build")
 }
 
-/// Runs `workload` under `engine`, returning the sample and the result
-/// (for cross-engine identity checking).
-fn measure(workload: &'static str, engine: Engine) -> Result<(Sample, RunResult), String> {
+fn engine_name(engine: Engine) -> &'static str {
+    match engine {
+        Engine::Polling => "polling",
+        Engine::Event => "event",
+    }
+}
+
+/// One timed run.
+struct Timed {
+    wall_secs: f64,
+    result: RunResult,
+    /// Size of the rendered trace (0 unless tracing was on).
+    trace_bytes: u64,
+    metrics_rows: u64,
+}
+
+/// Runs `workload` under `engine`, with `obs` installed when given.
+fn measure(workload: &str, engine: Engine, obs: Option<&ObsConfig>) -> Result<Timed, String> {
     let cfg = config_for(workload);
     let mut sys = System::new(&cfg, SchemeKind::Camps, traces_for(&cfg, workload, 11))
         .map_err(|e| format!("{workload}: {e}"))?;
     sys.set_engine(engine);
+    if let Some(obs) = obs {
+        sys.enable_obs(obs);
+    }
     sys.warmup(2_000);
     let start = Instant::now();
     let result = sys
         .run(INSTRUCTIONS, MAX_CYCLES, workload)
         .map_err(|e| format!("{workload}: {e}"))?;
-    let wall_secs = start.elapsed().as_secs_f64();
-    let name = match engine {
-        Engine::Polling => "polling",
-        Engine::Event => "event",
-    };
-    Ok((
-        Sample {
-            workload,
-            engine: name,
-            cycles: result.cycles,
-            wall_secs,
-        },
+    // Rendering is part of the cost a user pays for `--trace-out`; keep
+    // it inside the timed region.
+    let trace_bytes = match obs {
+        Some(o) if o.trace_out.is_some() => sys.obs().render_trace_json().map_or(0, |t| t.len()),
+        _ => 0,
+    } as u64;
+    Ok(Timed {
+        wall_secs: start.elapsed().as_secs_f64(),
         result,
-    ))
+        trace_bytes,
+        metrics_rows: sys.obs().samples(),
+    })
 }
 
-/// The observability-overhead measurement: traced event run vs the plain
+/// Observers and engines must not perturb the simulation: `candidate`,
+/// with the blocks only an observed run carries cleared, must serialize
+/// exactly like `reference`.
+fn assert_same_run(what: &str, reference: &RunResult, candidate: &RunResult) -> Result<(), String> {
+    let mut candidate = candidate.clone();
+    candidate.stage_latency = None;
+    candidate.profile = None;
+    let a = serde_json::to_string(reference).map_err(|e| e.to_string())?;
+    let b = serde_json::to_string(&candidate).map_err(|e| e.to_string())?;
+    if a == b {
+        Ok(())
+    } else {
+        Err(format!("{what} diverged from the plain event run"))
+    }
+}
+
+/// One measured (workload, engine) entry: a plain and a profiled run.
+struct Entry {
+    workload: &'static str,
+    engine: Engine,
+    cycles: u64,
+    wall_secs: f64,
+    profiled_secs: f64,
+    profile: ProfileSummary,
+}
+
+impl Entry {
+    fn mcycles_per_sec(&self) -> f64 {
+        self.cycles as f64 / self.wall_secs.max(1e-9) / 1e6
+    }
+
+    fn profiled_over_plain(&self) -> f64 {
+        self.profiled_secs / self.wall_secs.max(1e-9)
+    }
+
+    /// Share of the profiled wall time the span tree accounts for.
+    fn attributed_ratio(&self) -> f64 {
+        self.profile.attributed_ns() as f64 / (self.profiled_secs * 1e9).max(1.0)
+    }
+}
+
+/// The tracing-overhead measurement: traced event run vs the plain
 /// event run of the same workload.
 struct Overhead {
-    workload: &'static str,
     plain_secs: f64,
-    observed_secs: f64,
-    trace_bytes: u64,
-    metrics_rows: u64,
+    observed: Timed,
 }
 
 impl Overhead {
     fn ratio(&self) -> f64 {
-        self.observed_secs / self.plain_secs.max(1e-9)
+        self.observed.wall_secs / self.plain_secs.max(1e-9)
     }
 }
 
-/// Reruns `workload` under the event engine with full observability on
-/// (trace recording + metrics sampling) and compares against the plain
-/// event-engine wall time. The traced run must not perturb the
-/// simulation: its `RunResult` — minus the stage-latency block only an
-/// observed run can have — must serialize identically to `plain`'s.
-fn measure_observed(
-    workload: &'static str,
-    plain: &Sample,
-    plain_result: &RunResult,
-    trace_out: Option<&PathBuf>,
-) -> Result<Overhead, String> {
-    let cfg = config_for(workload);
-    let mut sys = System::new(&cfg, SchemeKind::Camps, traces_for(&cfg, workload, 11))
-        .map_err(|e| format!("{workload}: {e}"))?;
-    sys.set_engine(Engine::Event);
-    let obs_cfg = ObsConfig {
-        // Span recording is switched by `trace_out`'s presence; the path
-        // itself is unused here — the export below is explicit.
-        trace_out: Some(
-            trace_out
-                .cloned()
-                .unwrap_or_else(|| PathBuf::from("unused.trace.json")),
-        ),
-        metrics_every: Some(OBS_SAMPLE_EVERY),
+/// Measures every workload: both engines plain and profiled, plus the
+/// traced `OBS_WORKLOAD` run.
+fn measure_all() -> Result<(Vec<Entry>, Overhead), String> {
+    let profiled = ObsConfig {
+        profile: true,
         ..ObsConfig::default()
     };
-    sys.enable_obs(&obs_cfg);
-    sys.warmup(2_000);
-    let start = Instant::now();
-    let mut result = sys
-        .run(INSTRUCTIONS, MAX_CYCLES, workload)
-        .map_err(|e| format!("{workload} (observed): {e}"))?;
-    // Rendering is part of the cost a user pays for `--trace-out`; keep
-    // it inside the timed region whether or not the JSON is saved.
-    let trace = sys.obs().render_trace_json();
-    let observed_secs = start.elapsed().as_secs_f64();
-    let metrics_rows = sys.obs().samples();
-    let trace_bytes = trace.map_or(0, |t| t.len() as u64);
-    if let Some(path) = trace_out {
-        let report = sys
-            .obs()
-            .export_trace(path)
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!(
-            "{workload:>10}: trace saved to {} ({} records, {} dropped)",
-            path.display(),
-            report.records,
-            report.dropped
-        );
+    let mut entries = Vec::new();
+    let mut overhead = None;
+    for workload in WORKLOADS {
+        let polling = measure(workload, Engine::Polling, None)?;
+        let event = measure(workload, Engine::Event, None)?;
+        assert_same_run(
+            &format!("{workload}/polling"),
+            &event.result,
+            &polling.result,
+        )?;
+        for (engine, plain) in [(Engine::Polling, &polling), (Engine::Event, &event)] {
+            let name = engine_name(engine);
+            let run = measure(workload, engine, Some(&profiled))?;
+            assert_same_run(
+                &format!("{workload}/{name} (profiled)"),
+                &event.result,
+                &run.result,
+            )?;
+            let profile = run
+                .result
+                .profile
+                .ok_or_else(|| format!("{workload}/{name}: profiled run produced no summary"))?;
+            let entry = Entry {
+                workload,
+                engine,
+                cycles: plain.result.cycles,
+                wall_secs: plain.wall_secs,
+                profiled_secs: run.wall_secs,
+                profile,
+            };
+            println!(
+                "{workload:>10} / {name:<7}: {:8.2} Mcyc/s ({:.2}s) | profiled {:.2}s ({:.2}x), \
+                 {:.1}% attributed",
+                entry.mcycles_per_sec(),
+                entry.wall_secs,
+                entry.profiled_secs,
+                entry.profiled_over_plain(),
+                entry.attributed_ratio() * 100.0
+            );
+            entries.push(entry);
+        }
+        if workload == OBS_WORKLOAD {
+            let traced = ObsConfig {
+                // Span recording is switched on by `trace_out`'s presence;
+                // the trace is rendered in memory and never written.
+                trace_out: Some(PathBuf::from("unused.trace.json")),
+                metrics_every: Some(OBS_SAMPLE_EVERY),
+                ..ObsConfig::default()
+            };
+            let observed = measure(workload, Engine::Event, Some(&traced))?;
+            assert_same_run(
+                &format!("{workload}/event (traced)"),
+                &event.result,
+                &observed.result,
+            )?;
+            let o = Overhead {
+                plain_secs: event.wall_secs,
+                observed,
+            };
+            println!(
+                "{workload:>10}: traced {:.2}s vs plain {:.2}s | obs overhead {:.2}x | \
+                 {} metrics rows, {} KiB trace",
+                o.observed.wall_secs,
+                o.plain_secs,
+                o.ratio(),
+                o.observed.metrics_rows,
+                o.observed.trace_bytes / 1024
+            );
+            overhead = Some(o);
+        }
     }
-    result.stage_latency = None;
-    result.profile = None;
-    let a = serde_json::to_string(plain_result).map_err(|e| e.to_string())?;
-    let b = serde_json::to_string(&result).map_err(|e| e.to_string())?;
-    if a != b {
-        return Err(format!(
-            "{workload}: observed run diverged from plain run — tracing perturbed the simulation"
+    let overhead = overhead.expect("the traced workload is in the measured set");
+    Ok((entries, overhead))
+}
+
+/// `polling wall / event wall` for `workload`.
+fn event_over_polling(entries: &[Entry], workload: &str) -> f64 {
+    let wall = |engine| {
+        entries
+            .iter()
+            .find(|e| e.workload == workload && e.engine == engine)
+            .map_or(f64::NAN, |e| e.wall_secs)
+    };
+    wall(Engine::Polling) / wall(Engine::Event).max(1e-9)
+}
+
+fn render_entry(out: &mut String, e: &Entry) {
+    out.push_str(&format!(
+        "    {{\"workload\": \"{}\", \"engine\": \"{}\", \"cycles\": {}, \
+         \"wall_secs\": {:.4}, \"mcycles_per_sec\": {:.2}, \"profiled_secs\": {:.4}, \
+         \"profiled_over_plain\": {:.3}, \"attributed_ratio\": {:.3},\n     \"top_exclusive\": [",
+        e.workload,
+        engine_name(e.engine),
+        e.cycles,
+        e.wall_secs,
+        e.mcycles_per_sec(),
+        e.profiled_secs,
+        e.profiled_over_plain(),
+        e.attributed_ratio()
+    ));
+    let mut nodes: Vec<_> = e.profile.nodes.iter().collect();
+    nodes.sort_by_key(|n| std::cmp::Reverse(n.excl_ns));
+    let total = e.profile.total_ns.max(1);
+    for (j, n) in nodes.iter().take(TOP_COMPONENTS).enumerate() {
+        if j > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(&format!(
+            "{{\"comp\": \"{}\", \"excl_ms\": {:.2}, \"share\": {:.3}}}",
+            n.comp,
+            n.excl_ns as f64 / 1e6,
+            n.excl_ns as f64 / total as f64
         ));
     }
-    Ok(Overhead {
-        workload,
-        plain_secs: plain.wall_secs,
-        observed_secs,
-        trace_bytes,
-        metrics_rows,
-    })
-}
-
-/// Measures one workload under both engines and asserts bit-identity.
-/// Returns the event-engine `RunResult` too, so the observability
-/// overhead pass can reuse it as the non-perturbation reference.
-fn measure_pair(workload: &'static str) -> Result<(Sample, Sample, RunResult), String> {
-    let (polled, rp) = measure(workload, Engine::Polling)?;
-    let (evented, re) = measure(workload, Engine::Event)?;
-    let a = serde_json::to_string(&rp).map_err(|e| e.to_string())?;
-    let b = serde_json::to_string(&re).map_err(|e| e.to_string())?;
-    if a != b {
-        return Err(format!("{workload}: engines diverged — refusing to bench"));
+    out.push(']');
+    if !e.profile.wake_sources.is_empty() {
+        out.push_str(",\n     \"wake_sources\": [");
+        for (j, w) in e.profile.wake_sources.iter().enumerate() {
+            if j > 0 {
+                out.push_str(", ");
+            }
+            out.push_str(&format!(
+                "{{\"source\": \"{}\", \"wakes\": {}, \"spurious_ratio\": {:.3}, \
+                 \"cycles_skipped\": {}}}",
+                w.source,
+                w.wakes,
+                w.spurious_ratio(),
+                w.cycles_skipped
+            ));
+        }
+        out.push_str(&format!(
+            "],\n     \"backoff_engagements\": {}",
+            e.profile.backoff_engagements
+        ));
     }
-    Ok((polled, evented, re))
+    out.push('}');
 }
 
-fn render(pairs: &[(Sample, Sample)], overhead: Option<&Overhead>) -> String {
+fn render(entries: &[Entry], o: &Overhead) -> String {
     let mut out = String::from("{\n  \"benchmark\": \"engine-throughput\",\n");
     out.push_str(&format!(
         "  \"instructions_per_core\": {INSTRUCTIONS},\n  \"entries\": [\n"
     ));
-    let mut first = true;
-    for (p, e) in pairs {
-        for s in [p, e] {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&format!(
-                "    {{\"workload\": \"{}\", \"engine\": \"{}\", \"cycles\": {}, \
-                 \"wall_secs\": {:.4}, \"mcycles_per_sec\": {:.2}}}",
-                s.workload,
-                s.engine,
-                s.cycles,
-                s.wall_secs,
-                s.mcycles_per_sec()
-            ));
+    for (i, e) in entries.iter().enumerate() {
+        if i > 0 {
+            out.push_str(",\n");
         }
+        render_entry(&mut out, e);
     }
     out.push_str("\n  ],\n  \"speedups\": [\n");
-    for (i, (p, e)) in pairs.iter().enumerate() {
+    for (i, workload) in WORKLOADS.iter().enumerate() {
         if i > 0 {
             out.push_str(",\n");
         }
         out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"event_over_polling\": {:.3}}}",
-            p.workload,
-            p.wall_secs / e.wall_secs.max(1e-9)
+            "    {{\"workload\": \"{workload}\", \"event_over_polling\": {:.3}}}",
+            event_over_polling(entries, workload)
         ));
     }
-    out.push_str("\n  ]");
-    if let Some(o) = overhead {
-        out.push_str(",\n  \"obs_overhead\": [\n");
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"obs_over_plain\": {:.3}, \
-             \"plain_secs\": {:.4}, \"observed_secs\": {:.4}, \
-             \"trace_bytes\": {}, \"metrics_rows\": {}}}",
-            o.workload,
-            o.ratio(),
-            o.plain_secs,
-            o.observed_secs,
-            o.trace_bytes,
-            o.metrics_rows
-        ));
-        out.push_str("\n  ]");
-    }
-    out.push_str("\n}\n");
+    out.push_str("\n  ],\n  \"obs_overhead\": [\n");
+    out.push_str(&format!(
+        "    {{\"workload\": \"{OBS_WORKLOAD}\", \"obs_over_plain\": {:.3}, \
+         \"plain_secs\": {:.4}, \"observed_secs\": {:.4}, \
+         \"trace_bytes\": {}, \"metrics_rows\": {}}}",
+        o.ratio(),
+        o.plain_secs,
+        o.observed.wall_secs,
+        o.observed.trace_bytes,
+        o.observed.metrics_rows
+    ));
+    out.push_str("\n  ]\n}\n");
     out
+}
+
+/// Applies the three `--check` gates; returns every failure.
+fn check(baseline: &str, entries: &[Entry], o: &Overhead) -> Vec<String> {
+    let mut failures = Vec::new();
+    match camps_bench::baseline_value(baseline, Some("idle-heavy"), "event_over_polling") {
+        Some(expected) => {
+            let measured = event_over_polling(entries, "idle-heavy");
+            let floor = expected * CHECK_FLOOR;
+            println!(
+                "idle-heavy event/polling speedup: measured {measured:.2}x, \
+                 baseline {expected:.2}x, floor {floor:.2}x"
+            );
+            if measured < floor {
+                failures.push("event-engine speedup regressed >20% vs baseline".into());
+            }
+        }
+        None => failures.push("baseline has no idle-heavy event_over_polling".into()),
+    }
+    match camps_bench::baseline_value(baseline, Some(OBS_WORKLOAD), "obs_over_plain") {
+        Some(expected) => {
+            let ceiling = expected * OVERHEAD_CEILING;
+            println!(
+                "{OBS_WORKLOAD} traced/plain overhead: measured {:.2}x, \
+                 baseline {expected:.2}x, ceiling {ceiling:.2}x",
+                o.ratio()
+            );
+            if o.ratio() > ceiling {
+                failures.push("observability overhead regressed >2x vs baseline".into());
+            }
+        }
+        None => failures.push(format!("baseline has no {OBS_WORKLOAD} obs_over_plain")),
+    }
+    for e in entries {
+        if e.attributed_ratio() < ATTRIBUTION_FLOOR {
+            failures.push(format!(
+                "{}/{} attributes only {:.1}% of wall time (floor {:.0}%)",
+                e.workload,
+                engine_name(e.engine),
+                e.attributed_ratio() * 100.0,
+                ATTRIBUTION_FLOOR * 100.0
+            ));
+        }
+    }
+    failures
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_path = String::from("BENCH_engine.json");
     let mut check_path: Option<String> = None;
-    let mut trace_out: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -318,155 +460,43 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--trace-out" => match it.next() {
-                Some(p) => trace_out = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--trace-out needs a file");
-                    return ExitCode::FAILURE;
-                }
-            },
             other => {
-                eprintln!(
-                    "unknown option `{other}` (try --out FILE | --trace-out FILE | --check FILE)"
-                );
+                eprintln!("unknown option `{other}` (try --out FILE | --check FILE)");
                 return ExitCode::FAILURE;
             }
         }
-    }
-    if trace_out.is_some() && !TraceHandle::compiled() {
-        eprintln!("throughput: built without the `obs` feature; --trace-out is unavailable");
-        return ExitCode::FAILURE;
-    }
-    if trace_out.is_some() && check_path.is_some() {
-        eprintln!("throughput: --trace-out applies to the measuring mode, not --check");
-        return ExitCode::FAILURE;
     }
 
-    if let Some(path) = check_path {
-        // Regression gate: idle-heavy only, ratio vs the committed baseline.
-        let baseline_text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("throughput: cannot read baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let Some(expected) =
-            camps_bench::baseline_value(&baseline_text, Some("idle-heavy"), "event_over_polling")
-        else {
-            eprintln!("throughput: baseline {path} has no idle-heavy speedup");
-            return ExitCode::FAILURE;
-        };
-        let (p, e, _) = match measure_pair("idle-heavy") {
-            Ok(pair) => pair,
-            Err(err) => {
-                eprintln!("throughput: {err}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let measured = p.wall_secs / e.wall_secs.max(1e-9);
-        let floor = expected * CHECK_FLOOR;
-        println!(
-            "idle-heavy event/polling speedup: measured {measured:.2}x, \
-             baseline {expected:.2}x, floor {floor:.2}x"
-        );
-        if measured < floor {
-            eprintln!("throughput: event-engine speedup regressed >20% vs baseline");
+    let (entries, overhead) = match measure_all() {
+        Ok(m) => m,
+        Err(e) => {
+            eprintln!("throughput: {e}");
             return ExitCode::FAILURE;
         }
-        // Observability-overhead gate — only when the baseline commits to a
-        // ratio and the binary carries the hooks at all.
-        let expected_oh =
-            camps_bench::baseline_value(&baseline_text, Some(OBS_WORKLOAD), "obs_over_plain");
-        if let Some(expected_oh) = expected_oh.filter(|_| TraceHandle::compiled()) {
-            let (_, e, re) = match measure_pair(OBS_WORKLOAD) {
-                Ok(pair) => pair,
-                Err(err) => {
-                    eprintln!("throughput: {err}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let o = match measure_observed(OBS_WORKLOAD, &e, &re, None) {
-                Ok(o) => o,
-                Err(err) => {
-                    eprintln!("throughput: {err}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let ceiling = expected_oh * OVERHEAD_CEILING;
-            println!(
-                "{OBS_WORKLOAD} observed/plain overhead: measured {:.2}x, \
-                 baseline {expected_oh:.2}x, ceiling {ceiling:.2}x",
-                o.ratio()
-            );
-            if o.ratio() > ceiling {
-                eprintln!("throughput: observability overhead regressed >2x vs baseline");
-                return ExitCode::FAILURE;
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let mut pairs = Vec::new();
-    let mut obs_ref: Option<RunResult> = None;
-    for workload in ["idle-heavy", "HM1", "LM1"] {
-        match measure_pair(workload) {
-            Ok((p, e, re)) => {
-                println!(
-                    "{workload:>10}: polling {:8.2} Mcyc/s ({:.2}s) | event {:8.2} Mcyc/s \
-                     ({:.2}s) | speedup {:.2}x",
-                    p.mcycles_per_sec(),
-                    p.wall_secs,
-                    e.mcycles_per_sec(),
-                    e.wall_secs,
-                    p.wall_secs / e.wall_secs.max(1e-9)
-                );
-                if workload == OBS_WORKLOAD {
-                    obs_ref = Some(re);
-                }
-                pairs.push((p, e));
-            }
-            Err(err) => {
-                eprintln!("throughput: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let mut overhead = None;
-    if TraceHandle::compiled() {
-        let plain = pairs
-            .iter()
-            .find(|(p, _)| p.workload == OBS_WORKLOAD)
-            .map(|(_, e)| e)
-            .expect("obs workload is in the measured set");
-        let reference = obs_ref.as_ref().expect("event result retained");
-        match measure_observed(OBS_WORKLOAD, plain, reference, trace_out.as_ref()) {
-            Ok(o) => {
-                println!(
-                    "{:>10}: observed {:.2}s vs plain {:.2}s | obs overhead {:.2}x | \
-                     {} metrics rows, {} KiB trace",
-                    o.workload,
-                    o.observed_secs,
-                    o.plain_secs,
-                    o.ratio(),
-                    o.metrics_rows,
-                    o.trace_bytes / 1024
-                );
-                overhead = Some(o);
-            }
-            Err(err) => {
-                eprintln!("throughput: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        println!("obs hooks compiled out; skipping the overhead measurement");
-    }
-    let rendered = render(&pairs, overhead.as_ref());
-    if let Err(e) = std::fs::write(&out_path, &rendered) {
+    };
+    if let Err(e) = std::fs::write(&out_path, render(&entries, &overhead)) {
         eprintln!("throughput: cannot write {out_path}: {e}");
         return ExitCode::FAILURE;
     }
     println!("wrote {out_path}");
-    ExitCode::SUCCESS
+
+    let Some(path) = check_path else {
+        return ExitCode::SUCCESS;
+    };
+    let baseline = match std::fs::read_to_string(&path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("throughput: cannot read baseline {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let failures = check(&baseline, &entries, &overhead);
+    for f in &failures {
+        eprintln!("throughput: {f}");
+    }
+    if failures.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

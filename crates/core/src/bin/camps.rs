@@ -98,18 +98,6 @@ struct Options {
     topology: TopologyKind,
 }
 
-fn parse_scheme(s: &str) -> Option<SchemeKind> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "nopf" => SchemeKind::Nopf,
-        "base" => SchemeKind::Base,
-        "basehit" | "base-hit" => SchemeKind::BaseHit,
-        "mmd" => SchemeKind::Mmd,
-        "camps" => SchemeKind::Camps,
-        "campsmod" | "camps-mod" => SchemeKind::CampsMod,
-        _ => return None,
-    })
-}
-
 /// Flags only `camps sweep` reads.
 const SWEEP_ONLY: [&str; 6] = [
     "--journal",
@@ -177,10 +165,7 @@ fn parse_options(command: &str, args: &[String]) -> Result<Options, String> {
             "--json" => opts.json = true,
             "--schemes" => {
                 let list = it.next().ok_or("--schemes needs a list")?;
-                opts.schemes = list
-                    .split(',')
-                    .map(|s| parse_scheme(s).ok_or_else(|| format!("unknown scheme `{s}`")))
-                    .collect::<Result<_, _>>()?;
+                opts.schemes = list.split(',').map(str::parse).collect::<Result<_, _>>()?;
             }
             "--mixes" => {
                 let list = it.next().ok_or("--mixes needs a list")?;
@@ -345,9 +330,12 @@ fn main() -> ExitCode {
                     eprintln!("unknown mix `{}` (try `camps list`)", args[1]);
                     return ExitCode::FAILURE;
                 };
-                let Some(scheme) = parse_scheme(&args[2]) else {
-                    eprintln!("unknown scheme `{}` (try `camps list`)", args[2]);
-                    return ExitCode::FAILURE;
+                let scheme = match args[2].parse() {
+                    Ok(s) => s,
+                    Err(e) => {
+                        eprintln!("{e}");
+                        return ExitCode::FAILURE;
+                    }
                 };
                 (Some((mix, scheme)), &args[3..])
             };

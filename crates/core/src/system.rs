@@ -1469,7 +1469,8 @@ mod integrity_tests {
 
     #[test]
     fn clean_run_keeps_the_ledger_balanced() {
-        let cfg = SystemConfig::small();
+        let mut cfg = SystemConfig::small();
+        cfg.integrity.audit = true;
         let mut sys = System::new(&cfg, SchemeKind::Camps, traces(&cfg)).unwrap();
         sys.run(10_000, 1_000_000, "clean").unwrap();
         let ledger = sys.memory().audit_ledger();

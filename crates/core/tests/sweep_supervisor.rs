@@ -1,6 +1,6 @@
 //! Integration tests for the resilient sweep supervisor: fault
-//! isolation, deadline enforcement, retry-with-resume, journal crash
-//! tolerance, and thread-count independence.
+//! isolation, deadline enforcement, retry-with-resume, watchdog
+//! quarantine, journal crash tolerance, and thread-count independence.
 
 use camps::experiment::RunLength;
 use camps::metrics::RunResult;
@@ -183,6 +183,77 @@ fn retry_resumes_from_checkpoint_and_matches_clean_run() {
         leftovers.is_empty(),
         "stale checkpoints left: {leftovers:?}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The fault drill end to end: a start-panic retried clean and a
+/// permanently stalled vault that trips the watchdog on every attempt
+/// and quarantines, with checkpoints and a journal on. The survivors
+/// match a clean sweep, and a fault-free re-run on the same journal
+/// takes them from it, runs only the quarantined job and fills the hole.
+#[test]
+fn stalled_vault_quarantines_and_a_journal_rerun_fills_the_hole() {
+    let cfg = SystemConfig::paper_default();
+    let dir = scratch("drill");
+    let sweep = |policy: &SweepPolicy| {
+        run_sweep(&cfg, &mixes(), &schemes(), &RunLength::tiny(), SEED, policy).unwrap()
+    };
+    let clean = sweep(&SweepPolicy::default());
+    let policy = SweepPolicy {
+        max_retries: 2,
+        checkpoint_every: Some(2_000),
+        journal_path: Some(dir.join("sweep.jsonl")),
+        scratch_dir: Some(dir.join("ckpts")),
+        faults: SweepFaultPlan::new()
+            .inject(0, InjectedFault::PanicOnStart, 1)
+            .inject(
+                2,
+                InjectedFault::StallVault {
+                    vault: 0,
+                    from: 1_000,
+                },
+                u32::MAX,
+            ),
+        ..SweepPolicy::default()
+    };
+    let drill = sweep(&policy);
+    assert_eq!(drill.report.completed, 2, "{}", drill.report.render());
+    assert_eq!(drill.report.quarantined, 1, "{}", drill.report.render());
+    let panicked = &drill.report.jobs[0];
+    assert_eq!(panicked.outcome, JobOutcome::Completed);
+    assert_eq!((panicked.attempts, panicked.panics), (2, 1), "{panicked:?}");
+    let stalled = &drill.report.jobs[2];
+    assert_eq!(stalled.outcome, JobOutcome::Quarantined);
+    assert_eq!(
+        (stalled.attempts, stalled.watchdog_trips),
+        (3, 3),
+        "the stall must trip the watchdog on every attempt: {stalled:?}"
+    );
+    assert!(drill.results[2].is_none());
+    for i in [0, 1] {
+        assert_eq!(
+            fingerprint(drill.results[i].as_ref().unwrap()),
+            fingerprint(clean.results[i].as_ref().unwrap()),
+            "job {i}: faults in the sweep must not change a survivor"
+        );
+    }
+
+    let rerun = sweep(&SweepPolicy {
+        faults: SweepFaultPlan::new(),
+        ..policy
+    });
+    assert_eq!(rerun.report.journaled, 2, "{}", rerun.report.render());
+    assert_eq!(rerun.report.completed, 1, "{}", rerun.report.render());
+    for (i, (got, want)) in rerun.results.iter().zip(&clean.results).enumerate() {
+        let got = got
+            .as_ref()
+            .unwrap_or_else(|| panic!("job {i} left a hole"));
+        assert_eq!(
+            fingerprint(got),
+            fingerprint(want.as_ref().unwrap()),
+            "job {i}: the re-run must match the clean sweep"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -38,7 +38,8 @@ use serde::{Deserialize, Serialize};
 
 /// A profiled simulator component. Variants mirror the span tree the
 /// system layer builds; [`Comp::name`] is the stable label used in
-/// summaries, folded stacks, and `BENCH_profile.json`.
+/// summaries, folded stacks, and the `top_exclusive` lists of
+/// `BENCH_engine.json`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)] // the names below are the documentation
 pub enum Comp {

@@ -182,6 +182,26 @@ impl fmt::Display for SchemeKind {
     }
 }
 
+impl std::str::FromStr for SchemeKind {
+    type Err = String;
+
+    /// Case-insensitive; accepts the paper's names (`CAMPS-MOD`) and the
+    /// CLI's hyphen-free spellings (`campsmod`).
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s.to_ascii_lowercase().as_str() {
+            "nopf" => Ok(Self::Nopf),
+            "base" => Ok(Self::Base),
+            "basehit" | "base-hit" => Ok(Self::BaseHit),
+            "mmd" => Ok(Self::Mmd),
+            "camps" => Ok(Self::Camps),
+            "campsmod" | "camps-mod" => Ok(Self::CampsMod),
+            _ => Err(format!(
+                "unknown scheme `{s}` (nopf|base|basehit|mmd|camps|campsmod)"
+            )),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,6 +215,16 @@ mod tests {
         assert_eq!(SchemeKind::Camps.name(), "CAMPS");
         assert_eq!(SchemeKind::CampsMod.name(), "CAMPS-MOD");
         assert_eq!(SchemeKind::CampsMod.to_string(), "CAMPS-MOD");
+    }
+
+    #[test]
+    fn names_parse_back_and_unknown_names_fail() {
+        for kind in SchemeKind::ALL {
+            assert_eq!(kind.name().parse::<SchemeKind>(), Ok(kind));
+        }
+        assert_eq!("campsmod".parse::<SchemeKind>(), Ok(SchemeKind::CampsMod));
+        let err = "camps2".parse::<SchemeKind>().unwrap_err();
+        assert!(err.contains("camps2") && err.contains("campsmod"), "{err}");
     }
 
     #[test]

@@ -1,123 +1,6 @@
-//! Latency and occupancy histograms.
+//! Log₂ latency histograms.
 
 use serde::{Deserialize, Serialize};
-
-/// A fixed-width linear histogram over `[0, bucket_width * buckets)`, with
-/// an overflow bucket for larger samples.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Histogram {
-    bucket_width: u64,
-    buckets: Vec<u64>,
-    overflow: u64,
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` bins of `bucket_width` each.
-    ///
-    /// # Panics
-    /// Panics if either dimension is zero.
-    #[must_use]
-    pub fn new(bucket_width: u64, buckets: usize) -> Self {
-        assert!(
-            bucket_width > 0 && buckets > 0,
-            "histogram needs nonzero shape"
-        );
-        Self {
-            bucket_width,
-            buckets: vec![0; buckets],
-            overflow: 0,
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        let idx = (value / self.bucket_width) as usize;
-        match self.buckets.get_mut(idx) {
-            Some(b) => *b += 1,
-            None => self.overflow += 1,
-        }
-        self.count += 1;
-        self.sum += value;
-        self.max = self.max.max(value);
-    }
-
-    /// Number of samples recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean of the samples, `None` if empty.
-    #[must_use]
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
-    }
-
-    /// Largest sample seen.
-    #[must_use]
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Samples that exceeded the bucketed range.
-    #[must_use]
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Count in bucket `i` (covering `[i*w, (i+1)*w)`).
-    #[must_use]
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets.get(i).copied().unwrap_or(0)
-    }
-
-    /// Approximate p-th percentile (0..=100) from bucket midpoints;
-    /// `None` if empty.
-    #[must_use]
-    pub fn percentile(&self, p: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = (p.clamp(0.0, 100.0) / 100.0 * self.count as f64).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target.max(1) {
-                return Some(i as u64 * self.bucket_width + self.bucket_width / 2);
-            }
-        }
-        Some(self.max)
-    }
-
-    /// Folds another histogram (same shape) into this one.
-    ///
-    /// # Panics
-    /// Panics if the shapes differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.bucket_width, other.bucket_width,
-            "bucket width mismatch"
-        );
-        assert_eq!(
-            self.buckets.len(),
-            other.buckets.len(),
-            "bucket count mismatch"
-        );
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.overflow += other.overflow;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// A log₂-bucketed histogram: bucket *i* covers `[2^i, 2^(i+1))` (bucket 0
 /// covers `{0, 1}`). Good for long-tailed latency distributions.
@@ -201,63 +84,6 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn linear_bucketing() {
-        let mut h = Histogram::new(10, 4);
-        for v in [0, 9, 10, 35, 39, 40, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.bucket(0), 2);
-        assert_eq!(h.bucket(1), 1);
-        assert_eq!(h.bucket(3), 2);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.max(), 1000);
-    }
-
-    #[test]
-    fn mean_matches_manual() {
-        let mut h = Histogram::new(1, 10);
-        for v in [1u64, 2, 3, 4] {
-            h.record(v);
-        }
-        assert_eq!(h.mean(), Some(2.5));
-        assert_eq!(Histogram::new(1, 1).mean(), None);
-    }
-
-    #[test]
-    fn percentile_monotone() {
-        let mut h = Histogram::new(10, 100);
-        for v in 0..1000u64 {
-            h.record(v % 500);
-        }
-        let p50 = h.percentile(50.0).unwrap();
-        let p90 = h.percentile(90.0).unwrap();
-        assert!(p50 <= p90);
-        assert!(Histogram::new(1, 1).percentile(50.0).is_none());
-    }
-
-    #[test]
-    fn merge_adds_everything() {
-        let mut a = Histogram::new(10, 4);
-        a.record(5);
-        let mut b = Histogram::new(10, 4);
-        b.record(15);
-        b.record(100);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.bucket(0), 1);
-        assert_eq!(a.bucket(1), 1);
-        assert_eq!(a.overflow(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket width mismatch")]
-    fn merge_shape_mismatch_panics() {
-        let mut a = Histogram::new(10, 4);
-        a.merge(&Histogram::new(20, 4));
-    }
-
-    #[test]
     fn log2_bucketing() {
         let mut h = Log2Histogram::new();
         h.record(0); // bucket 0
@@ -329,33 +155,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn histogram_count_equals_bucket_sum(samples in prop::collection::vec(0u64..10_000, 0..200)) {
-            let mut h = Histogram::new(64, 32);
-            for &s in &samples {
-                h.record(s);
-            }
-            let total: u64 = (0..32).map(|i| h.bucket(i)).sum::<u64>() + h.overflow();
-            prop_assert_eq!(total, samples.len() as u64);
-            prop_assert_eq!(h.count(), samples.len() as u64);
-        }
-
-        #[test]
-        fn percentiles_are_monotone_in_p(
-            samples in prop::collection::vec(0u64..2_000, 1..200)
-        ) {
-            let mut h = Histogram::new(16, 64);
-            for &s in &samples {
-                h.record(s);
-            }
-            let mut last = 0;
-            for p in [0.0, 10.0, 25.0, 50.0, 75.0, 90.0, 100.0] {
-                let v = h.percentile(p).unwrap();
-                prop_assert!(v >= last, "p{p}: {v} < {last}");
-                last = v;
-            }
-        }
-
         #[test]
         fn log2_bucket_contains_value(v in 0u64..u64::MAX / 2) {
             let mut h = Log2Histogram::new();

@@ -9,7 +9,7 @@
 //!   the adversarial workload layer,
 //! * [`audit`] — per-vault request-conservation ledgers for the request
 //!   auditor,
-//! * [`histogram`] — linear and log₂ latency histograms,
+//! * [`histogram`] — log₂ latency histograms,
 //! * [`running`] — streaming mean/variance (Welford) and min/max,
 //! * [`summary`] — aggregation helpers: arithmetic/geometric means,
 //!   normalization against a baseline.
@@ -26,6 +26,6 @@ pub mod summary;
 pub use amplification::AmplificationReport;
 pub use audit::{AuditLedger, VaultAudit};
 pub use counter::{Counter, Ratio};
-pub use histogram::{Histogram, Log2Histogram};
+pub use histogram::Log2Histogram;
 pub use running::Running;
 pub use summary::{geomean, mean, normalize_to, percent_change, NormalizeError};

@@ -9,21 +9,17 @@
 
 use camps_sim::prelude::*;
 
-fn parse_scheme(s: &str) -> SchemeKind {
-    match s.to_ascii_lowercase().as_str() {
-        "nopf" => SchemeKind::Nopf,
-        "base" => SchemeKind::Base,
-        "basehit" | "base-hit" => SchemeKind::BaseHit,
-        "mmd" => SchemeKind::Mmd,
-        "camps" => SchemeKind::Camps,
-        _ => SchemeKind::CampsMod,
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mix_id = args.first().map_or("HM1", String::as_str);
-    let scheme = parse_scheme(args.get(1).map_or("campsmod", String::as_str));
+    let scheme: SchemeKind = args
+        .get(1)
+        .map_or("campsmod", String::as_str)
+        .parse()
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(1);
+        });
 
     // Table I system: 8 cores @ 3 GHz, 32-vault HMC, 16 KB prefetch
     // buffer per vault.

@@ -10,8 +10,10 @@
 use camps::experiment::{RunLength, RunSpec};
 use camps::system::Engine;
 use camps::System;
+use camps_cpu::trace::{TraceOp, TraceSource, VecTrace};
 use camps_obs::{ObsConfig, TraceHandle};
 use camps_prefetch::SchemeKind;
+use camps_types::addr::PhysAddr;
 use camps_types::config::SystemConfig;
 use camps_types::snapshot::Snapshot;
 use camps_workloads::Mix;
@@ -146,5 +148,42 @@ fn checkpointed_polling_run_polls_and_matches_the_event_engine() {
     assert!(
         evented_profile.wake_sources.iter().any(|w| w.wakes > 0),
         "the event run recorded no wake jumps, so the check above proves nothing"
+    );
+}
+
+/// The event engine must actually skip on an idle machine. One narrow
+/// core issues row-striding loads, each behind enough compute to fill
+/// its ROB, so the machine sleeps through every memory round trip; the
+/// profiler's wake accounting must show most cycles coalesced. This is
+/// the property behind the idle-heavy `event_over_polling` ratio, pinned
+/// here on cycle counts instead of wall time.
+#[test]
+fn event_engine_skips_most_cycles_of_an_idle_heavy_run() {
+    if !TraceHandle::compiled() {
+        return;
+    }
+    let mut cfg = SystemConfig::paper_default();
+    cfg.cpu.cores = 1;
+    cfg.cpu.rob_entries = 64;
+    let gap = cfg.cpu.rob_entries - 1;
+    let ops: Vec<TraceOp> = (0..512u64)
+        .map(|i| TraceOp::load(gap, PhysAddr(i * (1 << 19))))
+        .collect();
+    let traces = vec![Box::new(VecTrace::new("idle", ops)) as Box<dyn TraceSource>];
+    let mut sys = System::new(&cfg, SchemeKind::Camps, traces).unwrap();
+    sys.set_engine(Engine::Event);
+    sys.enable_obs(&ObsConfig {
+        profile: true,
+        ..ObsConfig::default()
+    });
+    sys.warmup(2_000);
+    let result = sys.run(20_000, 10_000_000, "idle-heavy").unwrap();
+    let profile = result.profile.expect("profiled run carries a summary");
+    let skipped: u64 = profile.wake_sources.iter().map(|w| w.cycles_skipped).sum();
+    assert!(
+        skipped * 5 >= result.cycles * 4,
+        "skipped {skipped} of {} cycles (want >= 80%): {:?}",
+        result.cycles,
+        profile.wake_sources
     );
 }
