@@ -20,8 +20,9 @@
 //! `--check` gates total wall time against the `multicube_ceiling` entry
 //! of the committed baseline (a runaway guard, not a perf benchmark).
 
-use camps::experiment::{run_matrix, RunLength};
+use camps::experiment::RunLength;
 use camps::metrics::RunResult;
+use camps::sweep::{run_sweep, SweepPolicy};
 use camps_prefetch::SchemeKind;
 use camps_types::config::SystemConfig;
 use camps_workloads::Mix;
@@ -62,8 +63,20 @@ fn run() -> Result<String, String> {
         let mut cfg = SystemConfig::paper_default();
         cfg.topology.cubes = cubes;
         let t0 = Instant::now();
-        let results = run_matrix(&cfg, &mixes, &SchemeKind::ALL, &len, SEED)
-            .map_err(|e| format!("{cubes}-cube matrix failed: {e}"))?;
+        let matrix_err = |e| format!("{cubes}-cube matrix failed: {e}");
+        let run = run_sweep(
+            &cfg,
+            &mixes,
+            &SchemeKind::ALL,
+            &len,
+            SEED,
+            &SweepPolicy::default(),
+        )
+        .map_err(matrix_err)?;
+        if let Some(e) = run.errors.into_iter().flatten().next() {
+            return Err(matrix_err(e));
+        }
+        let results: Vec<_> = run.results.into_iter().flatten().collect();
         let wall = t0.elapsed().as_secs_f64();
         let nopf = scheme_geomean(&results, SchemeKind::Nopf);
         let _ = write!(

@@ -4,7 +4,6 @@
 use camps_stats::{Counter, Ratio};
 use camps_types::addr::PhysAddr;
 use camps_types::config::CacheLevelConfig;
-use camps_types::snapshot::{decode, Snapshot};
 use serde::value::Value;
 use serde::{de, Deserialize, Serialize};
 
@@ -13,6 +12,20 @@ use serde::{de, Deserialize, Serialize};
 struct Line {
     tag: u64,
     dirty: bool,
+}
+
+/// Lines serialize as `(tag, dirty)` pairs.
+impl Serialize for Line {
+    fn to_value(&self) -> Value {
+        (self.tag, self.dirty).to_value()
+    }
+}
+
+impl Deserialize for Line {
+    fn from_value(v: &Value) -> Result<Self, de::Error> {
+        let (tag, dirty) = Deserialize::from_value(v)?;
+        Ok(Self { tag, dirty })
+    }
 }
 
 /// Per-cache statistics.
@@ -26,13 +39,18 @@ pub struct CacheStats {
     pub fills: Counter,
 }
 
-/// A set-associative cache.
-#[derive(Debug, Clone)]
+/// A set-associative cache. Its snapshot is the tag contents and the
+/// statistics; the geometry comes from the config.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(check)]
 pub struct Cache {
     /// `sets[s]` is MRU-first.
-    sets: Vec<Vec<Line>>,
+    sets: Box<[Vec<Line>]>,
+    #[serde(skip)]
     ways: usize,
+    #[serde(skip)]
     line_bits: u32,
+    #[serde(skip)]
     set_mask: u64,
     stats: CacheStats,
 }
@@ -54,7 +72,7 @@ impl Cache {
             "line size must be a power of two"
         );
         Self {
-            sets: vec![Vec::with_capacity(cfg.ways as usize); sets as usize],
+            sets: vec![Vec::with_capacity(cfg.ways as usize); sets as usize].into_boxed_slice(),
             ways: cfg.ways as usize,
             line_bits: cfg.line_bytes.trailing_zeros(),
             set_mask: sets - 1,
@@ -143,46 +161,14 @@ impl Cache {
     }
 }
 
-impl Snapshot for Cache {
-    fn save_state(&self) -> Value {
-        // Geometry (`ways`, `line_bits`, `set_mask`) is derived from the
-        // config; only tag contents and statistics are captured. Lines
-        // serialize as `(tag, dirty)` pairs, MRU-first per set.
-        let sets: Vec<Vec<(u64, bool)>> = self
-            .sets
-            .iter()
-            .map(|s| s.iter().map(|l| (l.tag, l.dirty)).collect())
-            .collect();
-        Value::Map(vec![
-            ("sets".into(), sets.to_value()),
-            ("stats".into(), self.stats.to_value()),
-        ])
-    }
-
-    fn restore_state(&mut self, state: &Value) -> Result<(), de::Error> {
-        let sets: Vec<Vec<(u64, bool)>> = decode(state, "sets")?;
-        if sets.len() != self.sets.len() {
-            return Err(de::Error::custom(format!(
-                "snapshot: {} sets for a {}-set cache",
-                sets.len(),
-                self.sets.len()
-            )));
-        }
-        if sets.iter().any(|s| s.len() > self.ways) {
+impl Cache {
+    fn check_restored(&mut self) -> Result<(), de::Error> {
+        if self.sets.iter().any(|s| s.len() > self.ways) {
             return Err(de::Error::custom(format!(
                 "snapshot: set exceeds {} ways",
                 self.ways
             )));
         }
-        self.sets = sets
-            .into_iter()
-            .map(|s| {
-                s.into_iter()
-                    .map(|(tag, dirty)| Line { tag, dirty })
-                    .collect()
-            })
-            .collect();
-        self.stats = decode(state, "stats")?;
         Ok(())
     }
 }

@@ -7,9 +7,7 @@ use camps_obs::{Comp, Profiler};
 use camps_types::addr::PhysAddr;
 use camps_types::clock::Cycle;
 use camps_types::config::SystemConfig;
-use camps_types::snapshot::{field, Snapshot};
-use serde::de;
-use serde::value::Value;
+use serde::{Deserialize, Serialize};
 
 /// Result of a demand access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,12 +28,18 @@ pub enum HierarchyOutcome {
 }
 
 /// The full on-chip cache system.
+#[derive(Serialize, Deserialize)]
 pub struct CacheHierarchy {
-    l1: Vec<Cache>,
-    l2: Vec<Cache>,
+    /// One per core.
+    l1: Box<[Cache]>,
+    /// One per core.
+    l2: Box<[Cache]>,
     l3: Cache,
+    #[serde(skip)]
     l1_lat: Cycle,
+    #[serde(skip)]
     l2_lat: Cycle,
+    #[serde(skip)]
     l3_lat: Cycle,
 }
 
@@ -198,49 +202,11 @@ impl camps_types::wake::Wake for CacheHierarchy {
     }
 }
 
-fn save_level(caches: &[Cache]) -> Value {
-    Value::Seq(caches.iter().map(Snapshot::save_state).collect())
-}
-
-fn restore_level(caches: &mut [Cache], v: &Value, level: &str) -> Result<(), de::Error> {
-    let Value::Seq(items) = v else {
-        return Err(de::Error::custom(format!(
-            "snapshot: expected sequence for {level}, got {v:?}"
-        )));
-    };
-    if items.len() != caches.len() {
-        return Err(de::Error::custom(format!(
-            "snapshot: {} {level} caches for {} cores",
-            items.len(),
-            caches.len()
-        )));
-    }
-    for (cache, item) in caches.iter_mut().zip(items) {
-        cache.restore_state(item)?;
-    }
-    Ok(())
-}
-
-impl Snapshot for CacheHierarchy {
-    fn save_state(&self) -> Value {
-        Value::Map(vec![
-            ("l1".into(), save_level(&self.l1)),
-            ("l2".into(), save_level(&self.l2)),
-            ("l3".into(), self.l3.save_state()),
-        ])
-    }
-
-    fn restore_state(&mut self, state: &Value) -> Result<(), de::Error> {
-        restore_level(&mut self.l1, field(state, "l1")?, "L1")?;
-        restore_level(&mut self.l2, field(state, "l2")?, "L2")?;
-        self.l3.restore_state(field(state, "l3")?)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use camps_types::config::SystemConfig;
+    use camps_types::snapshot::Snapshot;
 
     fn hierarchy() -> CacheHierarchy {
         CacheHierarchy::new(&SystemConfig::small())

@@ -5,9 +5,7 @@
 //! flight, so one memory request serves every waiter.
 
 use camps_types::addr::PhysAddr;
-use camps_types::snapshot::{decode, Snapshot};
-use serde::value::Value;
-use serde::{de, Serialize as _};
+use serde::{de, Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Result of trying to allocate an MSHR for a miss.
@@ -23,10 +21,13 @@ pub enum MshrAlloc {
 
 /// The MSHR file. Waiters are opaque `u64` tokens chosen by the caller
 /// (the system simulator uses ROB slot identifiers).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(check)]
 pub struct MshrFile {
     entries: HashMap<u64, Vec<u64>>,
+    #[serde(skip)]
     capacity: usize,
+    #[serde(skip)]
     line_mask: u64,
     peak: usize,
     merges: u64,
@@ -116,34 +117,15 @@ impl camps_types::wake::Wake for MshrFile {
     }
 }
 
-impl Snapshot for MshrFile {
-    fn save_state(&self) -> Value {
-        // In-flight blocks sorted by address for deterministic output;
-        // `capacity`/`line_mask` are construction inputs.
-        let mut entries: Vec<(u64, Vec<u64>)> =
-            self.entries.iter().map(|(k, v)| (*k, v.clone())).collect();
-        entries.sort_unstable_by_key(|&(k, _)| k);
-        Value::Map(vec![
-            ("entries".into(), entries.to_value()),
-            ("peak".into(), self.peak.to_value()),
-            ("merges".into(), self.merges.to_value()),
-            ("stalls".into(), self.stalls.to_value()),
-        ])
-    }
-
-    fn restore_state(&mut self, state: &Value) -> Result<(), de::Error> {
-        let entries: Vec<(u64, Vec<u64>)> = decode(state, "entries")?;
-        if entries.len() > self.capacity {
+impl MshrFile {
+    fn check_restored(&mut self) -> Result<(), de::Error> {
+        if self.entries.len() > self.capacity {
             return Err(de::Error::custom(format!(
                 "snapshot: {} in-flight blocks exceed {} MSHRs",
-                entries.len(),
+                self.entries.len(),
                 self.capacity
             )));
         }
-        self.entries = entries.into_iter().collect();
-        self.peak = decode(state, "peak")?;
-        self.merges = decode(state, "merges")?;
-        self.stalls = decode(state, "stalls")?;
         Ok(())
     }
 }
@@ -151,6 +133,7 @@ impl Snapshot for MshrFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use camps_types::snapshot::Snapshot;
 
     #[test]
     fn primary_then_merge_then_complete() {

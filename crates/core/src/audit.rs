@@ -21,14 +21,17 @@
 use camps_stats::AuditLedger;
 use camps_types::error::IntegrityError;
 use camps_types::request::RequestId;
-use camps_types::snapshot::{decode, Snapshot};
-use serde::value::Value;
-use serde::{de, Serialize as _};
+use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Request-conservation checker (see the module docs).
-#[derive(Debug)]
+///
+/// `enabled` is a construction input. A latched `violation` is never
+/// present at snapshot time: the run loop polls and aborts before a
+/// checkpoint could be taken, so it is not serialized.
+#[derive(Debug, Serialize, Deserialize)]
 pub struct RequestAuditor {
+    #[serde(skip)]
     enabled: bool,
     /// Vault each outstanding request id was routed to.
     outstanding: HashMap<u64, usize>,
@@ -36,6 +39,7 @@ pub struct RequestAuditor {
     /// outstanding entry is gone).
     completed: HashSet<u64>,
     ledger: AuditLedger,
+    #[serde(skip)]
     violation: Option<IntegrityError>,
 }
 
@@ -133,45 +137,10 @@ impl RequestAuditor {
     }
 }
 
-impl Snapshot for RequestAuditor {
-    fn save_state(&self) -> Value {
-        // `enabled` is a construction input. A latched `violation` is
-        // never present at snapshot time: the run loop polls and aborts
-        // before a checkpoint could be taken, so it is not serialized.
-        let mut outstanding: Vec<(u64, usize)> =
-            self.outstanding.iter().map(|(&id, &v)| (id, v)).collect();
-        outstanding.sort_unstable();
-        let mut completed: Vec<u64> = self.completed.iter().copied().collect();
-        completed.sort_unstable();
-        Value::Map(vec![
-            ("outstanding".into(), outstanding.to_value()),
-            ("completed".into(), completed.to_value()),
-            ("ledger".into(), self.ledger.to_value()),
-        ])
-    }
-
-    fn restore_state(&mut self, state: &Value) -> Result<(), de::Error> {
-        let outstanding: Vec<(u64, usize)> = decode(state, "outstanding")?;
-        let completed: Vec<u64> = decode(state, "completed")?;
-        let ledger: AuditLedger = decode(state, "ledger")?;
-        if ledger.vaults.len() != self.ledger.vaults.len() {
-            return Err(de::Error::custom(format!(
-                "snapshot: ledger covers {} vaults, auditor expects {}",
-                ledger.vaults.len(),
-                self.ledger.vaults.len()
-            )));
-        }
-        self.outstanding = outstanding.into_iter().collect();
-        self.completed = completed.into_iter().collect();
-        self.ledger = ledger;
-        self.violation = None;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use camps_types::snapshot::Snapshot;
 
     fn auditor() -> RequestAuditor {
         RequestAuditor::new(true, 4)

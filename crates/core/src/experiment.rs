@@ -1,11 +1,11 @@
-//! The run driver and workload × scheme experiment sweeps.
+//! The run driver.
 //!
 //! Every simulation goes through one driver, [`RunSpec`]: build the
 //! machine, warm it up or restore a checkpoint, step it (checkpointing
 //! on schedule and honouring a wall-clock deadline), and collect the
 //! result. Each (mix, scheme) simulation is single-threaded and
-//! deterministic; sweeps fan the independent runs out over all host
-//! cores with rayon.
+//! deterministic; the [`sweep`](crate::sweep) supervisor fans the
+//! independent runs of a matrix out over the host cores.
 
 use crate::metrics::RunResult;
 use crate::recovery::{read_snapshot, restore_run, scheme_from_name, write_snapshot};
@@ -16,7 +16,6 @@ use camps_types::clock::Cycle;
 use camps_types::config::SystemConfig;
 use camps_types::error::SimError;
 use camps_workloads::Mix;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -381,32 +380,10 @@ pub fn run_mix(
     RunSpec::new(cfg, mix, scheme, *len, seed).run()
 }
 
-/// Runs the full cross product `mixes × schemes` in parallel (rayon).
-/// Results come back grouped by mix, schemes in the given order.
-///
-/// # Errors
-/// Returns the first (job-order) error among the runs. Implemented on
-/// the [`sweep`](crate::sweep) supervisor: every job still runs to
-/// completion under panic isolation before the error is surfaced, so a
-/// single bad job no longer aborts its in-flight siblings mid-run.
-pub fn run_matrix(
-    cfg: &SystemConfig,
-    mixes: &[Mix],
-    schemes: &[SchemeKind],
-    len: &RunLength,
-    seed: u64,
-) -> Result<Vec<RunResult>, SimError> {
-    let policy = crate::sweep::SweepPolicy::default();
-    let mut run = crate::sweep::run_sweep(cfg, mixes, schemes, len, seed, &policy)?;
-    if let Some(err) = run.errors.iter_mut().find_map(Option::take) {
-        return Err(err);
-    }
-    Ok(run.results.into_iter().flatten().collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{run_sweep, SweepPolicy};
     use camps_workloads::ALL_MIXES;
 
     /// A tiny end-to-end smoke test: run one HM mix under NOPF and
@@ -515,80 +492,13 @@ mod tests {
         };
         let mixes = [ALL_MIXES[0], ALL_MIXES[4]];
         let schemes = [SchemeKind::Nopf, SchemeKind::Base];
-        let results = run_matrix(&cfg, &mixes, &schemes, &len, 1).unwrap();
+        let run = run_sweep(&cfg, &mixes, &schemes, &len, 1, &SweepPolicy::default()).unwrap();
+        assert!(run.errors.iter().all(Option::is_none));
+        let results: Vec<RunResult> = run.results.into_iter().flatten().collect();
         assert_eq!(results.len(), 4);
         assert_eq!(results[0].mix_id, "HM1");
         assert_eq!(results[0].scheme, SchemeKind::Nopf);
         assert_eq!(results[1].scheme, SchemeKind::Base);
         assert_eq!(results[2].mix_id, "LM1");
-    }
-}
-
-/// Mean ± population standard deviation of a scheme's per-seed geomean
-/// IPCs — the replication summary returned by [`run_replicated`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Replicated {
-    /// Mean geomean-IPC across seeds.
-    pub mean: f64,
-    /// Population standard deviation across seeds.
-    pub stddev: f64,
-    /// Seeds used.
-    pub seeds: u32,
-}
-
-/// Runs `(mix, scheme)` under `seeds` different workload seeds (in
-/// parallel) and summarizes the geomean IPC — use this to put error bars
-/// on any figure cell.
-///
-/// # Errors
-/// Returns the first failing seed's error; completed seeds are
-/// discarded when any fails.
-pub fn run_replicated(
-    cfg: &SystemConfig,
-    mix: &Mix,
-    scheme: SchemeKind,
-    len: &RunLength,
-    base_seed: u64,
-    seeds: u32,
-) -> Result<Replicated, SimError> {
-    use camps_stats::Running;
-    let ipcs: Vec<f64> = (0..u64::from(seeds.max(1)))
-        .collect::<Vec<_>>()
-        .par_iter()
-        .map(|i| {
-            Ok(run_mix(cfg, mix, scheme, len, base_seed.wrapping_add(i * 0x9E37))?.geomean_ipc())
-        })
-        .collect::<Result<_, SimError>>()?;
-    let mut acc = Running::new();
-    for v in &ipcs {
-        acc.record(*v);
-    }
-    Ok(Replicated {
-        mean: acc.mean().unwrap_or(0.0),
-        stddev: acc.stddev().unwrap_or(0.0),
-        seeds: seeds.max(1),
-    })
-}
-
-#[cfg(test)]
-mod replication_tests {
-    use super::*;
-    use camps_workloads::ALL_MIXES;
-
-    #[test]
-    fn replication_reports_spread() {
-        let cfg = SystemConfig::paper_default();
-        let len = RunLength {
-            warmup_instructions: 3_000,
-            instructions: 3_000,
-            max_cycles: 1_000_000,
-        };
-        let r = run_replicated(&cfg, &ALL_MIXES[8], SchemeKind::Nopf, &len, 7, 3).unwrap();
-        assert_eq!(r.seeds, 3);
-        assert!(r.mean > 0.0);
-        assert!(r.stddev >= 0.0);
-        // Different seeds genuinely differ, so spread is nonzero but far
-        // smaller than the mean.
-        assert!(r.stddev < r.mean, "stddev {} vs mean {}", r.stddev, r.mean);
     }
 }

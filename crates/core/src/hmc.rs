@@ -15,11 +15,9 @@ use camps_types::clock::Cycle;
 use camps_types::config::{FaultPlan, SystemConfig};
 use camps_types::error::{SimError, VaultSnapshot};
 use camps_types::request::{MemRequest, MemResponse};
-use camps_types::snapshot::{decode, field, Snapshot};
 use camps_types::wake::{fold_wake, Wake};
 use camps_vault::{VaultController, VaultStats};
-use serde::value::Value;
-use serde::{de, Serialize as _};
+use serde::{de, Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -27,21 +25,31 @@ use std::collections::{BinaryHeap, VecDeque};
 const HOST_QUEUE_DEPTH: usize = 64;
 
 /// The cube.
+///
+/// Its snapshot skips the construction inputs re-derived from the config
+/// (`mapping`, `block_bytes`, `link_cfg`, `faults`) and the intra-tick
+/// scratch `vault_out`, empty between ticks.
+#[derive(Serialize, Deserialize)]
+#[serde(check)]
 pub struct HmcDevice {
+    #[serde(skip)]
     mapping: AddressMapping,
+    #[serde(skip)]
     block_bytes: u32,
+    #[serde(skip)]
     link_cfg: camps_types::config::LinkConfig,
     req_links: LinkSet,
     resp_links: LinkSet,
     req_xbar: Crossbar,
     resp_xbar: Crossbar,
-    vaults: Vec<VaultController>,
+    vaults: Box<[VaultController]>,
     /// Requests accepted by the host controller, waiting for a link.
     host_queue: VecDeque<MemRequest>,
     /// Request packets in flight: (arrival at vault, seq, packet).
     inflight_req: BinaryHeap<Reverse<(Cycle, u64, Packet)>>,
-    /// Packets that reached a full vault queue; retried every cycle.
-    vault_retry: Vec<VecDeque<MemRequest>>,
+    /// Packets that reached a full vault queue, per vault; retried every
+    /// cycle.
+    vault_retry: Box<[VecDeque<MemRequest>]>,
     /// Responses in flight to the host: (delivery, seq, response).
     inflight_resp: BinaryHeap<Reverse<(Cycle, u64, MemResponse)>>,
     /// Responses waiting for response-link tokens.
@@ -49,17 +57,21 @@ pub struct HmcDevice {
     /// Link token returns: (cycle, link index, flits, is_response_dir).
     token_returns: BinaryHeap<Reverse<(Cycle, usize, u32, bool)>>,
     /// Scratch for vault responses within a tick.
+    #[serde(skip)]
     vault_out: Vec<MemResponse>,
     seq: u64,
     /// Fault-injection schedule (all-off in normal runs).
+    #[serde(skip)]
     faults: FaultPlan,
     /// Request packets delivered so far (drives `drop_request_every`).
     req_deliveries: u64,
     /// Responses delivered so far (drives `duplicate_response_every`).
     resp_deliveries: u64,
-    /// Observability hooks (runtime-only; excluded from `Snapshot`).
+    /// Observability hooks (runtime-only; excluded from snapshots).
+    #[serde(skip)]
     obs: TraceHandle,
     /// The stall-fault instant has been emitted (emit-once latch).
+    #[serde(skip)]
     stall_marked: bool,
 }
 
@@ -73,7 +85,7 @@ impl HmcDevice {
         let mapping = cfg.hmc.address_mapping()?;
         let vaults = (0..cfg.hmc.vaults)
             .map(|v| VaultController::new(v as u16, cfg, scheme))
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect::<Result<Box<[_]>, _>>()?;
         Ok(Self {
             mapping,
             block_bytes: cfg.hmc.block_bytes,
@@ -420,87 +432,14 @@ impl Wake for HmcDevice {
     }
 }
 
-impl Snapshot for HmcDevice {
-    fn save_state(&self) -> Value {
-        // `mapping`, `block_bytes`, `link_cfg`, and `faults` are
-        // construction inputs re-derived from the config on restore;
-        // `vault_out` is intra-tick scratch, empty between ticks. The
-        // in-flight heaps drain to ascending `(cycle, seq, ..)` vectors so
-        // the encoding is deterministic regardless of heap internals.
-        let mut inflight_req: Vec<(Cycle, u64, Packet)> =
-            self.inflight_req.iter().map(|Reverse(t)| *t).collect();
-        inflight_req.sort_unstable();
-        let mut inflight_resp: Vec<(Cycle, u64, MemResponse)> =
-            self.inflight_resp.iter().map(|Reverse(t)| *t).collect();
-        inflight_resp.sort_unstable();
-        let mut token_returns: Vec<(Cycle, usize, u32, bool)> =
-            self.token_returns.iter().map(|Reverse(t)| *t).collect();
-        token_returns.sort_unstable();
-        let vaults: Vec<Value> = self.vaults.iter().map(Snapshot::save_state).collect();
-        Value::Map(vec![
-            ("req_links".into(), self.req_links.to_value()),
-            ("resp_links".into(), self.resp_links.to_value()),
-            ("req_xbar".into(), self.req_xbar.to_value()),
-            ("resp_xbar".into(), self.resp_xbar.to_value()),
-            ("vaults".into(), Value::Seq(vaults)),
-            ("host_queue".into(), self.host_queue.to_value()),
-            ("inflight_req".into(), inflight_req.to_value()),
-            ("vault_retry".into(), self.vault_retry.to_value()),
-            ("inflight_resp".into(), inflight_resp.to_value()),
-            ("resp_queue".into(), self.resp_queue.to_value()),
-            ("token_returns".into(), token_returns.to_value()),
-            ("seq".into(), self.seq.to_value()),
-            ("req_deliveries".into(), self.req_deliveries.to_value()),
-            ("resp_deliveries".into(), self.resp_deliveries.to_value()),
-        ])
-    }
-
-    fn restore_state(&mut self, state: &Value) -> Result<(), de::Error> {
-        let Value::Seq(vault_states) = field(state, "vaults")? else {
-            return Err(de::Error::custom("snapshot: `vaults` is not a sequence"));
-        };
-        if vault_states.len() != self.vaults.len() {
-            return Err(de::Error::custom(format!(
-                "snapshot: {} vault states for a {}-vault cube",
-                vault_states.len(),
-                self.vaults.len()
-            )));
-        }
-        let vault_retry: Vec<VecDeque<MemRequest>> = decode(state, "vault_retry")?;
-        if vault_retry.len() != self.vault_retry.len() {
-            return Err(de::Error::custom(format!(
-                "snapshot: {} retry queues for a {}-vault cube",
-                vault_retry.len(),
-                self.vault_retry.len()
-            )));
-        }
-        let host_queue: VecDeque<MemRequest> = decode(state, "host_queue")?;
-        if host_queue.len() > HOST_QUEUE_DEPTH {
+impl HmcDevice {
+    fn check_restored(&mut self) -> Result<(), de::Error> {
+        if self.host_queue.len() > HOST_QUEUE_DEPTH {
             return Err(de::Error::custom(format!(
                 "snapshot: host queue holds {} requests (depth {HOST_QUEUE_DEPTH})",
-                host_queue.len()
+                self.host_queue.len()
             )));
         }
-        for (vault, vs) in self.vaults.iter_mut().zip(vault_states) {
-            vault.restore_state(vs)?;
-        }
-        self.req_links = decode(state, "req_links")?;
-        self.resp_links = decode(state, "resp_links")?;
-        self.req_xbar = decode(state, "req_xbar")?;
-        self.resp_xbar = decode(state, "resp_xbar")?;
-        self.host_queue = host_queue;
-        self.vault_retry = vault_retry;
-        let inflight_req: Vec<(Cycle, u64, Packet)> = decode(state, "inflight_req")?;
-        self.inflight_req = inflight_req.into_iter().map(Reverse).collect();
-        let inflight_resp: Vec<(Cycle, u64, MemResponse)> = decode(state, "inflight_resp")?;
-        self.inflight_resp = inflight_resp.into_iter().map(Reverse).collect();
-        self.resp_queue = decode(state, "resp_queue")?;
-        let token_returns: Vec<(Cycle, usize, u32, bool)> = decode(state, "token_returns")?;
-        self.token_returns = token_returns.into_iter().map(Reverse).collect();
-        self.vault_out.clear();
-        self.seq = decode(state, "seq")?;
-        self.req_deliveries = decode(state, "req_deliveries")?;
-        self.resp_deliveries = decode(state, "resp_deliveries")?;
         Ok(())
     }
 }
@@ -510,6 +449,7 @@ mod tests {
     use super::*;
     use camps_types::addr::PhysAddr;
     use camps_types::request::{AccessKind, CoreId, RequestId, ServiceSource};
+    use camps_types::snapshot::Snapshot;
 
     fn cfg() -> SystemConfig {
         SystemConfig::paper_default()

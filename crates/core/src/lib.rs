@@ -21,8 +21,7 @@
 //! * [`audit`] — request-lifetime conservation checking,
 //! * [`metrics`] — per-run results ([`metrics::RunResult`]),
 //! * [`experiment`] — the run driver ([`RunSpec`]: warmup or resume,
-//!   checkpoints, deadline, observers) and workload × scheme sweeps
-//!   (rayon-parallel) used to regenerate the paper's plots,
+//!   checkpoints, deadline, observers),
 //! * [`recovery`] — checkpoint/restore of a mid-flight run: the
 //!   verified snapshot format the driver writes and resumes from,
 //! * [`sweep`] — the resilient parallel sweep supervisor: fault-isolated
@@ -44,7 +43,7 @@ pub mod system;
 pub mod topology;
 
 pub use audit::RequestAuditor;
-pub use experiment::{run_matrix, run_mix, run_replicated, Replicated, Run, RunLength, RunSpec};
+pub use experiment::{run_mix, Run, RunLength, RunSpec};
 pub use hmc::HmcDevice;
 pub use metrics::{fairness, Fairness, RunResult};
 pub use recovery::{read_snapshot, write_snapshot};

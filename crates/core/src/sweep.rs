@@ -2,8 +2,7 @@
 //!
 //! Runs a workload-mix × scheme job matrix concurrently on real worker
 //! threads (the vendored rayon pool) with production-grade failure
-//! handling, in place of [`run_matrix`]'s original all-or-nothing
-//! semantics:
+//! handling:
 //!
 //! * **Fault isolation** — each job runs under `catch_unwind`; a panic
 //!   becomes a typed [`SimError::Panic`] in that job's record instead of
@@ -33,8 +32,6 @@
 //! and checkpoint restore is bit-identical — so a sweep's merged results
 //! are byte-for-byte the same whether it ran on 1 thread or 16, straight
 //! through or killed and resumed.
-//!
-//! [`run_matrix`]: crate::experiment::run_matrix
 
 use crate::experiment::{RunLength, RunSpec};
 use crate::metrics::RunResult;
@@ -297,12 +294,6 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// True when every job has a result (none quarantined).
-    #[must_use]
-    pub fn all_completed(&self) -> bool {
-        self.quarantined == 0
-    }
-
     /// Human-readable multi-line summary (what the CLI prints).
     #[must_use]
     pub fn render(&self) -> String {
@@ -367,14 +358,6 @@ pub struct SweepRun {
     pub errors: Vec<Option<SimError>>,
     /// Aggregate accounting.
     pub report: SweepReport,
-}
-
-impl SweepRun {
-    /// The completed results, in job order (quarantined jobs skipped).
-    #[must_use]
-    pub fn completed_results(&self) -> Vec<&RunResult> {
-        self.results.iter().filter_map(Option::as_ref).collect()
-    }
 }
 
 /// One journaled (key, result) pair.

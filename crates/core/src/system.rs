@@ -18,10 +18,8 @@ use camps_types::clock::Cycle;
 use camps_types::config::SystemConfig;
 use camps_types::error::{IntegrityError, SimError, WatchdogReport};
 use camps_types::request::{AccessKind, CoreId, MemRequest, RequestId};
-use camps_types::snapshot::{decode, field, Snapshot};
 use camps_types::wake::{fold_wake, Wake, WakeSource};
-use serde::value::Value;
-use serde::{de, Serialize as _};
+use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Sentinel MSHR waiter token for store fills (no core to wake).
@@ -35,10 +33,13 @@ const CORE_PF_WAITER: u64 = u64::MAX - 1;
 /// cube pool (one or more cubes behind a [`Topology`]).
 ///
 /// Implements [`MemoryPort`], so cores tick directly against it.
+#[derive(Serialize, Deserialize)]
 pub struct MemorySubsystem {
     hierarchy: CacheHierarchy,
     mshrs: MshrFile,
-    topo: Topology,
+    /// The cube pool. Named `hmc` because at one cube its snapshot is the
+    /// bare device state, byte-identical to pre-topology snapshots.
+    hmc: Topology,
     /// Write-allocate fills that must land dirty.
     dirty_fills: HashSet<u64>,
     /// Per-waiter issue cycles for latency accounting.
@@ -51,12 +52,17 @@ pub struct MemorySubsystem {
     /// L3 dirty victims waiting to enter the cube.
     writeback_q: VecDeque<PhysAddr>,
     /// Scratch reused across calls.
+    #[serde(skip)]
     wb_scratch: Vec<PhysAddr>,
+    #[serde(skip)]
     resp_scratch: Vec<camps_types::request::MemResponse>,
     next_id: u64,
+    #[serde(skip)]
     block_mask: u64,
+    #[serde(skip)]
     block_bytes: u64,
     /// Core-side next-line prefetcher (two-level prefetching extension).
+    #[serde(skip)]
     core_pf: camps_types::config::CoreSidePrefetchConfig,
     /// Core-side prefetches issued / and how many filled usefully is
     /// visible via the hierarchy's hit rates; we count issues here.
@@ -75,8 +81,9 @@ pub struct MemorySubsystem {
     /// watchdog's forward-progress signature: a wedged cube stops
     /// advancing this even while cores spin.
     responses_delivered: u64,
-    /// Observability hooks (runtime-only; excluded from `Snapshot` so
+    /// Observability hooks (runtime-only; excluded from snapshots so
     /// checkpoints are byte-identical with and without tracing).
+    #[serde(skip)]
     obs: TraceHandle,
 }
 
@@ -89,7 +96,7 @@ impl MemorySubsystem {
         Ok(Self {
             hierarchy: CacheHierarchy::new(cfg),
             mshrs: MshrFile::new(cfg.l3.mshrs, cfg.l3.line_bytes),
-            topo: Topology::new(cfg, scheme)?,
+            hmc: Topology::new(cfg, scheme)?,
             dirty_fills: HashSet::new(),
             issue_cycle: HashMap::new(),
             first_attempt: HashMap::new(),
@@ -114,27 +121,21 @@ impl MemorySubsystem {
         })
     }
 
-    /// Direct access to the host-attached cube (tests and single-cube
-    /// callers; multi-cube code should go through [`Self::topology`]).
-    pub fn hmc_mut(&mut self) -> &mut HmcDevice {
-        self.topo.cube0_mut()
-    }
-
     /// Direct read access to the host-attached cube.
     #[must_use]
     pub fn hmc(&self) -> &HmcDevice {
-        self.topo.cube0()
+        self.hmc.cube0()
     }
 
     /// The cube pool: address interleaving, fabric, and every cube.
     #[must_use]
     pub fn topology(&self) -> &Topology {
-        &self.topo
+        &self.hmc
     }
 
     /// Mutable access to the cube pool.
     pub fn topology_mut(&mut self) -> &mut Topology {
-        &mut self.topo
+        &mut self.hmc
     }
 
     /// The cache hierarchy (functional warmup uses it directly).
@@ -145,7 +146,7 @@ impl MemorySubsystem {
     /// Installs observability hooks here, on every cube, and on every
     /// vault (all clones of one handle).
     pub fn set_obs(&mut self, obs: TraceHandle) {
-        self.topo.set_obs(obs.clone());
+        self.hmc.set_obs(obs.clone());
         self.obs = obs;
     }
 
@@ -160,9 +161,9 @@ impl MemorySubsystem {
     /// and core-side prefetch. The auditor's vault index is pool-global
     /// (`cube * vaults_per_cube + local_vault`).
     fn submit_audited(&mut self, req: MemRequest, now: Cycle) -> bool {
-        let (_, vault) = self.topo.route_of(req.addr);
+        let (_, vault) = self.hmc.route_of(req.addr);
         let id = req.id;
-        let accepted = self.topo.submit(req, now);
+        let accepted = self.hmc.submit(req, now);
         if accepted {
             self.auditor.record_injected(id, vault);
         }
@@ -217,7 +218,7 @@ impl MemorySubsystem {
         // Drain pending L3 writebacks into the cube pool as posted
         // writes (FIFO: a full owning cube blocks the queue head).
         while let Some(&wb) = self.writeback_q.front() {
-            if self.topo.headroom_for(wb) == 0 {
+            if self.hmc.headroom_for(wb) == 0 {
                 break;
             }
             let id = self.fresh_id();
@@ -239,7 +240,7 @@ impl MemorySubsystem {
 
         self.resp_scratch.clear();
         let mut responses = std::mem::take(&mut self.resp_scratch);
-        self.topo.tick(now, &mut responses, prof);
+        self.hmc.tick(now, &mut responses, prof);
 
         prof.enter(Comp::CacheFill);
         for resp in &responses {
@@ -310,7 +311,7 @@ impl MemorySubsystem {
     /// True while memory-side work remains.
     #[must_use]
     pub fn busy(&self) -> bool {
-        self.topo.busy() || self.mshrs.in_flight() > 0 || !self.writeback_q.is_empty()
+        self.hmc.busy() || self.mshrs.in_flight() > 0 || !self.writeback_q.is_empty()
     }
 
     fn token(core: CoreId, slot: u64) -> u64 {
@@ -329,7 +330,7 @@ impl MemorySubsystem {
             if self.hierarchy.access_untimed(target) || self.mshrs.contains(target) {
                 continue; // already on chip or in flight
             }
-            if self.mshrs.is_full() || self.topo.headroom_for(target) == 0 {
+            if self.mshrs.is_full() || self.hmc.headroom_for(target) == 0 {
                 return; // never squeeze demand
             }
             self.mshrs.allocate(target, CORE_PF_WAITER);
@@ -361,82 +362,11 @@ impl Wake for MemorySubsystem {
     /// pool's own wake already covers.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         if let Some(&wb) = self.writeback_q.front() {
-            if self.topo.headroom_for(wb) > 0 {
+            if self.hmc.headroom_for(wb) > 0 {
                 return Some(now + 1);
             }
         }
-        self.topo.next_event(now)
-    }
-}
-
-impl Snapshot for MemorySubsystem {
-    fn save_state(&self) -> Value {
-        // `block_mask`/`block_bytes`/`core_pf` are derived from the
-        // config; `wb_scratch`/`resp_scratch` are intra-tick scratch.
-        // Hash collections serialize sorted so the byte stream (and its
-        // checksum) is deterministic.
-        let mut dirty_fills: Vec<u64> = self.dirty_fills.iter().copied().collect();
-        dirty_fills.sort_unstable();
-        let mut issue_cycle: Vec<(u64, Cycle)> =
-            self.issue_cycle.iter().map(|(&k, &v)| (k, v)).collect();
-        issue_cycle.sort_unstable();
-        let mut first_attempt: Vec<(u8, u64, Cycle)> = self
-            .first_attempt
-            .iter()
-            .map(|(&(core, block), &at)| (core, block, at))
-            .collect();
-        first_attempt.sort_unstable();
-        Value::Map(vec![
-            ("hierarchy".into(), self.hierarchy.save_state()),
-            ("mshrs".into(), self.mshrs.save_state()),
-            // Key kept as `hmc` across the topology refactor: at one
-            // cube the value is the bare device state (byte-identical to
-            // pre-topology snapshots); multi-cube pools nest a map with
-            // a `cubes` key, which restore detects by shape.
-            ("hmc".into(), self.topo.save_state()),
-            ("dirty_fills".into(), dirty_fills.to_value()),
-            ("issue_cycle".into(), issue_cycle.to_value()),
-            ("first_attempt".into(), first_attempt.to_value()),
-            ("writeback_q".into(), self.writeback_q.to_value()),
-            ("next_id".into(), self.next_id.to_value()),
-            ("core_pf_issued".into(), self.core_pf_issued.to_value()),
-            ("amat_all".into(), self.amat_all.to_value()),
-            ("amat_mem".into(), self.amat_mem.to_value()),
-            ("buffer_served".into(), self.buffer_served.to_value()),
-            ("mem_reads".into(), self.mem_reads.to_value()),
-            ("auditor".into(), self.auditor.save_state()),
-            (
-                "responses_delivered".into(),
-                self.responses_delivered.to_value(),
-            ),
-        ])
-    }
-
-    fn restore_state(&mut self, state: &Value) -> Result<(), de::Error> {
-        self.hierarchy.restore_state(field(state, "hierarchy")?)?;
-        self.mshrs.restore_state(field(state, "mshrs")?)?;
-        self.topo.restore_state(field(state, "hmc")?)?;
-        let dirty_fills: Vec<u64> = decode(state, "dirty_fills")?;
-        self.dirty_fills = dirty_fills.into_iter().collect();
-        let issue_cycle: Vec<(u64, Cycle)> = decode(state, "issue_cycle")?;
-        self.issue_cycle = issue_cycle.into_iter().collect();
-        let first_attempt: Vec<(u8, u64, Cycle)> = decode(state, "first_attempt")?;
-        self.first_attempt = first_attempt
-            .into_iter()
-            .map(|(core, block, at)| ((core, block), at))
-            .collect();
-        self.writeback_q = decode(state, "writeback_q")?;
-        self.wb_scratch.clear();
-        self.resp_scratch.clear();
-        self.next_id = decode(state, "next_id")?;
-        self.core_pf_issued = decode(state, "core_pf_issued")?;
-        self.amat_all = decode(state, "amat_all")?;
-        self.amat_mem = decode(state, "amat_mem")?;
-        self.buffer_served = decode(state, "buffer_served")?;
-        self.mem_reads = decode(state, "mem_reads")?;
-        self.auditor.restore_state(field(state, "auditor")?)?;
-        self.responses_delivered = decode(state, "responses_delivered")?;
-        Ok(())
+        self.hmc.next_event(now)
     }
 }
 
@@ -459,7 +389,7 @@ impl MemorySubsystem {
             self.issue_cycle.insert(token, issued);
             return PortResult::Accepted;
         }
-        if self.mshrs.is_full() || self.topo.headroom_for(addr) == 0 {
+        if self.mshrs.is_full() || self.hmc.headroom_for(addr) == 0 {
             self.first_attempt.entry((core.0, block)).or_insert(now);
             return PortResult::Rejected;
         }
@@ -504,7 +434,7 @@ impl MemorySubsystem {
             self.dirty_fills.insert(block);
             return true;
         }
-        if self.mshrs.is_full() || self.topo.headroom_for(addr) == 0 {
+        if self.mshrs.is_full() || self.hmc.headroom_for(addr) == 0 {
             return false;
         }
         self.mshrs.allocate(addr, STORE_WAITER);
@@ -580,7 +510,7 @@ impl MemoryPort for MemorySubsystem {
 /// Loop bookkeeping for an in-flight [`System::run`] invocation, split
 /// out so a driver can checkpoint and restore it alongside the machine
 /// itself.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RunState {
     /// Cycle the run started at.
     start: Cycle,
@@ -588,8 +518,8 @@ pub struct RunState {
     instructions: u64,
     /// Absolute cycle cap.
     deadline: Cycle,
-    /// Cycle (relative to `start`) each core reached its target.
-    done_at: Vec<Option<Cycle>>,
+    /// Cycle (relative to `start`) each core reached its target, per core.
+    done_at: Box<[Option<Cycle>]>,
     /// Watchdog: last observed forward-progress signature.
     last_progress: (u64, u64),
     /// Watchdog: cycle the signature last changed.
@@ -601,37 +531,6 @@ impl RunState {
     #[must_use]
     pub fn finished(&self) -> bool {
         self.done_at.iter().all(Option::is_some)
-    }
-}
-
-impl Snapshot for RunState {
-    fn save_state(&self) -> Value {
-        Value::Map(vec![
-            ("start".into(), self.start.to_value()),
-            ("instructions".into(), self.instructions.to_value()),
-            ("deadline".into(), self.deadline.to_value()),
-            ("done_at".into(), self.done_at.to_value()),
-            ("last_progress".into(), self.last_progress.to_value()),
-            ("stalled_since".into(), self.stalled_since.to_value()),
-        ])
-    }
-
-    fn restore_state(&mut self, state: &Value) -> Result<(), de::Error> {
-        let done_at: Vec<Option<Cycle>> = decode(state, "done_at")?;
-        if done_at.len() != self.done_at.len() {
-            return Err(de::Error::custom(format!(
-                "snapshot: {} per-core slots for a {}-core run",
-                done_at.len(),
-                self.done_at.len()
-            )));
-        }
-        self.start = decode(state, "start")?;
-        self.instructions = decode(state, "instructions")?;
-        self.deadline = decode(state, "deadline")?;
-        self.done_at = done_at;
-        self.last_progress = decode(state, "last_progress")?;
-        self.stalled_since = decode(state, "stalled_since")?;
-        Ok(())
     }
 }
 
@@ -670,36 +569,52 @@ impl std::str::FromStr for Engine {
 }
 
 /// The whole machine plus the run loop.
+///
+/// Its snapshot is the cores, the memory side and the clock. `cfg` and
+/// `scheme` are construction inputs recorded (as a hash and a name) in
+/// the snapshot manifest; the rest is driver-side pacing.
+#[derive(Serialize, Deserialize)]
 pub struct System {
+    #[serde(skip)]
     cfg: SystemConfig,
-    cores: Vec<Core>,
+    cores: Box<[Core]>,
     mem: MemorySubsystem,
+    #[serde(skip)]
     scheme: SchemeKind,
     now: Cycle,
     /// Stepping strategy; never serialized (snapshots are engine-neutral).
+    #[serde(skip)]
     engine: Engine,
     /// Scratch for completed-load wakeups, reused across `run_step`s.
+    #[serde(skip)]
     woken_scratch: Vec<(CoreId, u64)>,
     /// Event-engine scan backoff: cycles left before the next wake scan.
     /// When a scan finds nothing skippable, rescanning every cycle only
     /// burns time on dense mixes — ticking without scanning is always
     /// correct (it *is* the polling engine), so we pause the scan for a
     /// few cycles. Never serialized (engine-local pacing state).
+    #[serde(skip)]
     scan_backoff: u64,
     /// Observability hooks; never serialized (see [`MemorySubsystem`]).
+    #[serde(skip)]
     obs: TraceHandle,
     /// Host-side self-profiler. A sibling of `cores`/`mem` so the tick
     /// loop can split-borrow it alongside both. Runtime-only: never
     /// serialized, and [`Profiler::off`] unless enabled via
     /// [`ObsConfig`], so profiled and unprofiled runs stay bit-identical.
+    #[serde(skip)]
     prof: Profiler,
     /// Metrics sampling interval; `None` disables the sampler.
+    #[serde(skip)]
     metrics_every: Option<u64>,
     /// Absolute cycle of the next metrics sample.
+    #[serde(skip)]
     next_sample: Cycle,
     /// Ticks the run loop actually executed (event engine: per wake).
+    #[serde(skip)]
     wake_ticks: u64,
     /// Cycles the event engine skipped without ticking.
+    #[serde(skip)]
     cycles_skipped: u64,
 }
 
@@ -897,7 +812,7 @@ impl System {
             start: self.now,
             instructions,
             deadline: self.now + max_cycles,
-            done_at: vec![None; self.cores.len()],
+            done_at: vec![None; self.cores.len()].into_boxed_slice(),
             last_progress: self.progress_signature(),
             stalled_since: self.now,
         }
@@ -1224,42 +1139,11 @@ impl System {
     }
 }
 
-impl Snapshot for System {
-    fn save_state(&self) -> Value {
-        // `cfg` and `scheme` are construction inputs recorded (as a hash
-        // and a name) in the snapshot manifest, not in the state tree.
-        let cores: Vec<Value> = self.cores.iter().map(Snapshot::save_state).collect();
-        Value::Map(vec![
-            ("cores".into(), Value::Seq(cores)),
-            ("mem".into(), self.mem.save_state()),
-            ("now".into(), self.now.to_value()),
-        ])
-    }
-
-    fn restore_state(&mut self, state: &Value) -> Result<(), de::Error> {
-        let Value::Seq(core_states) = field(state, "cores")? else {
-            return Err(de::Error::custom("snapshot: `cores` is not a sequence"));
-        };
-        if core_states.len() != self.cores.len() {
-            return Err(de::Error::custom(format!(
-                "snapshot: {} core states for a {}-core machine",
-                core_states.len(),
-                self.cores.len()
-            )));
-        }
-        for (core, cs) in self.cores.iter_mut().zip(core_states) {
-            core.restore_state(cs)?;
-        }
-        self.mem.restore_state(field(state, "mem")?)?;
-        self.now = decode(state, "now")?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use camps_cpu::trace::{TraceOp, VecTrace};
+    use camps_types::snapshot::Snapshot;
 
     fn small_cfg() -> SystemConfig {
         SystemConfig::small()

@@ -27,35 +27,41 @@ use camps_types::clock::Cycle;
 use camps_types::config::SystemConfig;
 use camps_types::error::{SimError, VaultSnapshot};
 use camps_types::request::{MemRequest, MemResponse};
-use camps_types::snapshot::{decode, field, Snapshot};
 use camps_types::wake::{fold_wake, Wake};
 use camps_vault::VaultStats;
 use serde::value::{lookup, Value};
-use serde::{de, Deserialize as _, Serialize as _};
+use serde::{de, Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// The pool of cubes behind the host memory controller.
 pub struct Topology {
     cube_map: CubeMap,
-    fabric: CubeFabric,
-    cubes: Vec<HmcDevice>,
     link_cfg: camps_types::config::LinkConfig,
     block_bytes: u32,
+    /// Everything a multi-cube snapshot captures.
+    pool: Pool,
+    /// Scratch for per-cube responses within a tick.
+    cube_out: Vec<MemResponse>,
+    obs: TraceHandle,
+}
+
+/// The pool's mutable state: the cubes and the fabric between them.
+#[derive(Serialize, Deserialize)]
+struct Pool {
+    cubes: Box<[HmcDevice]>,
+    fabric: CubeFabric,
     /// Requests crossing the fabric: (arrival, seq, cube, local request).
     hop_req: BinaryHeap<Reverse<(Cycle, u64, u16, MemRequest)>>,
     /// Responses crossing back: (arrival, seq, global-address response).
     hop_resp: BinaryHeap<Reverse<(Cycle, u64, MemResponse)>>,
     /// Requests that arrived at a cube whose host queue was momentarily
-    /// full; drained ahead of new fabric deliveries every tick.
-    arrival_q: Vec<VecDeque<MemRequest>>,
+    /// full, per cube; drained ahead of new fabric deliveries every tick.
+    arrival_q: Box<[VecDeque<MemRequest>]>,
     /// Requests accepted but not yet in a cube's host queue, per cube.
     /// Subtracted from that cube's headroom so transit never overcommits.
-    in_transit: Vec<usize>,
+    in_transit: Box<[usize]>,
     seq: u64,
-    /// Scratch for per-cube responses within a tick.
-    cube_out: Vec<MemResponse>,
-    obs: TraceHandle,
 }
 
 impl Topology {
@@ -68,19 +74,21 @@ impl Topology {
         let cube_map = cfg.cube_map()?;
         let cubes = (0..cfg.topology.cubes)
             .map(|_| HmcDevice::new(cfg, scheme))
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect::<Result<Box<[_]>, _>>()?;
         let n = cubes.len();
         Ok(Self {
             cube_map,
-            fabric: CubeFabric::new(&cfg.topology, &cfg.link, cfg.cpu.freq_hz),
-            cubes,
             link_cfg: cfg.link,
             block_bytes: cfg.hmc.block_bytes,
-            hop_req: BinaryHeap::new(),
-            hop_resp: BinaryHeap::new(),
-            arrival_q: (0..n).map(|_| VecDeque::new()).collect(),
-            in_transit: vec![0; n],
-            seq: 0,
+            pool: Pool {
+                cubes,
+                fabric: CubeFabric::new(&cfg.topology, &cfg.link, cfg.cpu.freq_hz),
+                hop_req: BinaryHeap::new(),
+                hop_resp: BinaryHeap::new(),
+                arrival_q: (0..n).map(|_| VecDeque::new()).collect(),
+                in_transit: vec![0; n].into_boxed_slice(),
+                seq: 0,
+            },
             cube_out: Vec::new(),
             obs: TraceHandle::disabled(),
         })
@@ -89,7 +97,7 @@ impl Topology {
     /// Number of cubes in the pool.
     #[must_use]
     pub fn cubes(&self) -> usize {
-        self.cubes.len()
+        self.pool.cubes.len()
     }
 
     /// The pool-wide address interleaving stage.
@@ -101,23 +109,18 @@ impl Topology {
     /// The host-attached cube (tests, single-cube compatibility paths).
     #[must_use]
     pub fn cube0(&self) -> &HmcDevice {
-        &self.cubes[0]
-    }
-
-    /// Mutable access to the host-attached cube.
-    pub fn cube0_mut(&mut self) -> &mut HmcDevice {
-        &mut self.cubes[0]
+        &self.pool.cubes[0]
     }
 
     /// Every cube in the pool.
     #[must_use]
     pub fn all_cubes(&self) -> &[HmcDevice] {
-        &self.cubes
+        &self.pool.cubes
     }
 
     /// Installs observability hooks on every cube (and for hop stamps).
     pub fn set_obs(&mut self, obs: TraceHandle) {
-        for c in &mut self.cubes {
+        for c in &mut self.pool.cubes {
             c.set_obs(obs.clone());
         }
         self.obs = obs;
@@ -127,7 +130,7 @@ impl Topology {
     /// `cube * vaults_per_cube() + local_vault`.
     #[must_use]
     pub fn vaults_per_cube(&self) -> usize {
-        self.cubes[0].vaults().len()
+        self.pool.cubes[0].vaults().len()
     }
 
     /// `(cube, pool-global vault index)` owning `addr`.
@@ -150,13 +153,13 @@ impl Topology {
     /// fabric needs no flow-control credits of its own.
     #[must_use]
     pub fn headroom_for(&self, addr: PhysAddr) -> usize {
-        if self.cubes.len() == 1 {
-            return self.cubes[0].headroom();
+        if self.pool.cubes.len() == 1 {
+            return self.pool.cubes[0].headroom();
         }
         let cube = usize::from(self.cube_map.cube_of(addr));
-        self.cubes[cube]
+        self.pool.cubes[cube]
             .headroom()
-            .saturating_sub(self.in_transit[cube].min(self.cubes[cube].headroom()))
+            .saturating_sub(self.pool.in_transit[cube].min(self.pool.cubes[cube].headroom()))
     }
 
     /// Offers a request (global address) to the pool. `false` means the
@@ -164,8 +167,8 @@ impl Topology {
     /// multi-cube path the request is translated to the owning cube's
     /// local address space and shipped over the fabric.
     pub fn submit(&mut self, req: MemRequest, now: Cycle) -> bool {
-        if self.cubes.len() == 1 {
-            return self.cubes[0].submit(req);
+        if self.pool.cubes.len() == 1 {
+            return self.pool.cubes[0].submit(req);
         }
         if self.headroom_for(req.addr) == 0 {
             return false;
@@ -176,43 +179,46 @@ impl Topology {
             ..req
         };
         let flits = Packet::request(local, &self.link_cfg, self.block_bytes).flits;
-        let arrive = self.fabric.send_request(cube, flits, now);
-        self.in_transit[usize::from(cube)] += 1;
-        self.hop_req.push(Reverse((arrive, self.seq, cube, local)));
-        self.seq += 1;
+        let arrive = self.pool.fabric.send_request(cube, flits, now);
+        self.pool.in_transit[usize::from(cube)] += 1;
+        self.pool
+            .hop_req
+            .push(Reverse((arrive, self.pool.seq, cube, local)));
+        self.pool.seq += 1;
         true
     }
 
     /// Advances the pool one CPU cycle; responses delivered to the host
     /// at `now` are appended to `out` with their global addresses.
     pub fn tick(&mut self, now: Cycle, out: &mut Vec<MemResponse>, prof: &mut Profiler) {
-        if self.cubes.len() == 1 {
+        if self.pool.cubes.len() == 1 {
             prof.enter(Comp::HmcTick);
-            self.cubes[0].tick(now, out, prof);
+            self.pool.cubes[0].tick(now, out, prof);
             prof.exit(Comp::HmcTick);
             return;
         }
         prof.enter(Comp::CubeFabric);
         // Fabric deliveries land in per-cube arrival queues...
         while self
+            .pool
             .hop_req
             .peek()
             .is_some_and(|Reverse((at, _, _, _))| *at <= now)
         {
-            let Some(Reverse((_, _, cube, req))) = self.hop_req.pop() else {
+            let Some(Reverse((_, _, cube, req))) = self.pool.hop_req.pop() else {
                 break;
             };
-            self.arrival_q[usize::from(cube)].push_back(req);
+            self.pool.arrival_q[usize::from(cube)].push_back(req);
         }
         // ...and drain into the cubes' host queues as slots free up.
-        for cube in 0..self.cubes.len() {
-            while let Some(&req) = self.arrival_q[cube].front() {
-                if !self.cubes[cube].submit(req) {
+        for cube in 0..self.pool.cubes.len() {
+            while let Some(&req) = self.pool.arrival_q[cube].front() {
+                if !self.pool.cubes[cube].submit(req) {
                     break;
                 }
                 self.obs.cube_arrive(req.id.0, cube as u16, now);
-                self.arrival_q[cube].pop_front();
-                self.in_transit[cube] -= 1;
+                self.pool.arrival_q[cube].pop_front();
+                self.pool.in_transit[cube] -= 1;
             }
         }
         debug_assert!(
@@ -220,7 +226,7 @@ impl Topology {
             "cube scratch not drained between ticks"
         );
         let mut responses = std::mem::take(&mut self.cube_out);
-        for (idx, cube) in self.cubes.iter_mut().enumerate() {
+        for (idx, cube) in self.pool.cubes.iter_mut().enumerate() {
             responses.clear();
             prof.enter(Comp::HmcTick);
             cube.tick(now, &mut responses, prof);
@@ -237,19 +243,22 @@ impl Topology {
                     created_at: global.created_at,
                 };
                 let flits = Packet::response(req, &self.link_cfg, self.block_bytes).flits;
-                let arrive = self.fabric.send_response(idx as u16, flits, now);
+                let arrive = self.pool.fabric.send_response(idx as u16, flits, now);
                 global.completed_at = global.completed_at.max(arrive);
-                self.hop_resp.push(Reverse((arrive, self.seq, global)));
-                self.seq += 1;
+                self.pool
+                    .hop_resp
+                    .push(Reverse((arrive, self.pool.seq, global)));
+                self.pool.seq += 1;
             }
         }
         self.cube_out = responses;
         while self
+            .pool
             .hop_resp
             .peek()
             .is_some_and(|Reverse((at, _, _))| *at <= now)
         {
-            let Some(Reverse((_, _, resp))) = self.hop_resp.pop() else {
+            let Some(Reverse((_, _, resp))) = self.pool.hop_resp.pop() else {
                 break;
             };
             out.push(resp);
@@ -260,28 +269,28 @@ impl Topology {
     /// True while any cube or fabric-transit work remains.
     #[must_use]
     pub fn busy(&self) -> bool {
-        !self.hop_req.is_empty()
-            || !self.hop_resp.is_empty()
-            || self.arrival_q.iter().any(|q| !q.is_empty())
-            || self.cubes.iter().any(HmcDevice::busy)
+        !self.pool.hop_req.is_empty()
+            || !self.pool.hop_resp.is_empty()
+            || self.pool.arrival_q.iter().any(|q| !q.is_empty())
+            || self.pool.cubes.iter().any(HmcDevice::busy)
     }
 
     /// Requests plus responses currently crossing the fabric (gauge).
     #[must_use]
     pub fn link_inflight(&self) -> usize {
-        self.hop_req.len()
-            + self.hop_resp.len()
-            + self.arrival_q.iter().map(VecDeque::len).sum::<usize>()
+        self.pool.hop_req.len()
+            + self.pool.hop_resp.len()
+            + self.pool.arrival_q.iter().map(VecDeque::len).sum::<usize>()
     }
 
     /// Finalizes every cube and merges the statistics; fabric FLITs fold
     /// into the energy model's link total alongside the host links.
     pub fn finalize(&mut self, now: Cycle) -> VaultStats {
         let mut merged = VaultStats::new();
-        for c in &mut self.cubes {
+        for c in &mut self.pool.cubes {
             merged.merge(&c.finalize(now));
         }
-        let (_, fabric_flits, _) = self.fabric.stats();
+        let (_, fabric_flits, _) = self.pool.fabric.stats();
         merged.energy.link_flits += fabric_flits;
         merged
     }
@@ -289,13 +298,14 @@ impl Topology {
     /// Total host-queue occupancy across the pool.
     #[must_use]
     pub fn host_queue_len(&self) -> usize {
-        self.cubes.iter().map(HmcDevice::host_queue_len).sum()
+        self.pool.cubes.iter().map(HmcDevice::host_queue_len).sum()
     }
 
     /// Per-cube host-queue depths (metrics sampling).
     #[must_use]
     pub fn host_queue_lens(&self) -> Vec<u64> {
-        self.cubes
+        self.pool
+            .cubes
             .iter()
             .map(|c| c.host_queue_len() as u64)
             .collect()
@@ -304,7 +314,8 @@ impl Topology {
     /// Free request-link tokens, all cubes concatenated in cube order.
     #[must_use]
     pub fn req_link_tokens(&self) -> Vec<u32> {
-        self.cubes
+        self.pool
+            .cubes
             .iter()
             .flat_map(HmcDevice::req_link_tokens)
             .collect()
@@ -313,7 +324,8 @@ impl Topology {
     /// Free response-link tokens, all cubes concatenated in cube order.
     #[must_use]
     pub fn resp_link_tokens(&self) -> Vec<u32> {
-        self.cubes
+        self.pool
+            .cubes
             .iter()
             .flat_map(HmcDevice::resp_link_tokens)
             .collect()
@@ -323,7 +335,8 @@ impl Topology {
     /// cube order (pool-global vault indexing).
     #[must_use]
     pub fn vault_snapshots(&self) -> Vec<VaultSnapshot> {
-        self.cubes
+        self.pool
+            .cubes
             .iter()
             .flat_map(HmcDevice::vault_snapshots)
             .collect()
@@ -336,21 +349,21 @@ impl Wake for Topology {
     /// wake. (Fabric serializers hold no spontaneous events — they only
     /// matter when a send happens, which other wakes already cover.)
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if self.cubes.len() == 1 {
-            return self.cubes[0].next_event(now);
+        if self.pool.cubes.len() == 1 {
+            return self.pool.cubes[0].next_event(now);
         }
         let next = now + 1;
-        if self.arrival_q.iter().any(|q| !q.is_empty()) {
+        if self.pool.arrival_q.iter().any(|q| !q.is_empty()) {
             return Some(next);
         }
         let mut wake: Option<Cycle> = None;
-        if let Some(Reverse((at, _, _, _))) = self.hop_req.peek() {
+        if let Some(Reverse((at, _, _, _))) = self.pool.hop_req.peek() {
             fold_wake(&mut wake, now, Some(*at));
         }
-        if let Some(Reverse((at, _, _))) = self.hop_resp.peek() {
+        if let Some(Reverse((at, _, _))) = self.pool.hop_resp.peek() {
             fold_wake(&mut wake, now, Some(*at));
         }
-        for c in &self.cubes {
+        for c in &self.pool.cubes {
             fold_wake(&mut wake, now, c.next_event(now));
             if wake == Some(next) {
                 break;
@@ -360,75 +373,37 @@ impl Wake for Topology {
     }
 }
 
-impl Snapshot for Topology {
-    fn save_state(&self) -> Value {
-        // Single cube: the bare device state, byte-identical to the
-        // pre-topology snapshot layout. Multi-cube: a map whose `cubes`
-        // key distinguishes the new shape (a device state has no such
-        // key), so restore can accept either.
-        if self.cubes.len() == 1 {
-            return self.cubes[0].save_state();
+/// Single cube: the bare device state, byte-identical to the
+/// pre-topology snapshot layout. Multi-cube: the [`Pool`], whose `cubes`
+/// key distinguishes it (a device state has no such key), so restore can
+/// accept either.
+impl Serialize for Topology {
+    fn to_value(&self) -> Value {
+        match &*self.pool.cubes {
+            [cube] => cube.to_value(),
+            _ => self.pool.to_value(),
         }
-        let mut hop_req: Vec<(Cycle, u64, u16, MemRequest)> =
-            self.hop_req.iter().map(|Reverse(t)| *t).collect();
-        hop_req.sort_unstable_by_key(|&(at, seq, _, _)| (at, seq));
-        let mut hop_resp: Vec<(Cycle, u64, MemResponse)> =
-            self.hop_resp.iter().map(|Reverse(t)| *t).collect();
-        hop_resp.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
-        let cubes: Vec<Value> = self.cubes.iter().map(Snapshot::save_state).collect();
-        Value::Map(vec![
-            ("cubes".into(), Value::Seq(cubes)),
-            ("fabric".into(), self.fabric.to_value()),
-            ("hop_req".into(), hop_req.to_value()),
-            ("hop_resp".into(), hop_resp.to_value()),
-            ("arrival_q".into(), self.arrival_q.to_value()),
-            ("in_transit".into(), self.in_transit.to_value()),
-            ("seq".into(), self.seq.to_value()),
-        ])
+    }
+}
+
+impl Deserialize for Topology {
+    fn from_value(_: &Value) -> Result<Self, de::Error> {
+        Err(de::Error::custom(
+            "snapshot: a cube pool restores only in place",
+        ))
     }
 
-    fn restore_state(&mut self, state: &Value) -> Result<(), de::Error> {
-        let legacy = !matches!(state, Value::Map(entries) if lookup(entries, "cubes").is_some());
-        if legacy {
-            // A pre-topology (or single-cube) snapshot: the bare device.
-            if self.cubes.len() != 1 {
-                return Err(de::Error::custom(format!(
-                    "snapshot: single-cube state for a {}-cube pool",
-                    self.cubes.len()
-                )));
-            }
-            return self.cubes[0].restore_state(state);
+    fn from_value_in_place(&mut self, v: &Value) -> Result<(), de::Error> {
+        if matches!(v, Value::Map(entries) if lookup(entries, "cubes").is_some()) {
+            return self.pool.from_value_in_place(v);
         }
-        let Value::Seq(cube_states) = field(state, "cubes")? else {
-            return Err(de::Error::custom("snapshot: `cubes` is not a sequence"));
-        };
-        if cube_states.len() != self.cubes.len() {
-            return Err(de::Error::custom(format!(
-                "snapshot: {} cube states for a {}-cube pool",
-                cube_states.len(),
-                self.cubes.len()
-            )));
+        match &mut *self.pool.cubes {
+            [cube] => cube.from_value_in_place(v),
+            cubes => Err(de::Error::custom(format!(
+                "snapshot: single-cube state for a {}-cube pool",
+                cubes.len()
+            ))),
         }
-        let arrival_q: Vec<VecDeque<MemRequest>> = decode(state, "arrival_q")?;
-        let in_transit: Vec<usize> = decode(state, "in_transit")?;
-        if arrival_q.len() != self.cubes.len() || in_transit.len() != self.cubes.len() {
-            return Err(de::Error::custom(
-                "snapshot: per-cube transit state has the wrong cube count",
-            ));
-        }
-        for (cube, cs) in self.cubes.iter_mut().zip(cube_states) {
-            cube.restore_state(cs)?;
-        }
-        self.fabric = CubeFabric::from_value(field(state, "fabric")?)?;
-        let hop_req: Vec<(Cycle, u64, u16, MemRequest)> = decode(state, "hop_req")?;
-        self.hop_req = hop_req.into_iter().map(Reverse).collect();
-        let hop_resp: Vec<(Cycle, u64, MemResponse)> = decode(state, "hop_resp")?;
-        self.hop_resp = hop_resp.into_iter().map(Reverse).collect();
-        self.arrival_q = arrival_q;
-        self.in_transit = in_transit;
-        self.seq = decode(state, "seq")?;
-        self.cube_out.clear();
-        Ok(())
     }
 }
 
@@ -437,6 +412,7 @@ mod tests {
     use super::*;
     use camps_types::config::TopologyKind;
     use camps_types::request::{AccessKind, CoreId, RequestId};
+    use camps_types::snapshot::Snapshot;
 
     fn cfg(cubes: u32, kind: TopologyKind) -> SystemConfig {
         let mut c = SystemConfig::paper_default();

@@ -7,7 +7,6 @@ use camps_types::addr::PhysAddr;
 use camps_types::clock::Cycle;
 use camps_types::config::CpuConfig;
 use camps_types::request::{AccessKind, CoreId};
-use camps_types::snapshot::{decode, field, Snapshot};
 use camps_types::wake::Wake;
 use serde::value::Value;
 use serde::{de, Deserialize, Serialize};
@@ -64,20 +63,24 @@ enum RobEntry {
     StalledStore(PhysAddr),
 }
 
-impl RobEntry {
-    /// Snapshot encoding: the derive subset cannot express data-carrying
-    /// enums, so entries serialize as `(tag, payload)` pairs.
-    fn pack(self) -> (u8, u64) {
-        match self {
-            Self::Ready(c) => (0, c),
+/// The derive subset cannot express data-carrying enums, so entries
+/// serialize as `(tag, payload)` pairs.
+impl Serialize for RobEntry {
+    fn to_value(&self) -> Value {
+        match *self {
+            Self::Ready(c) => (0u8, c),
             Self::HitLoad(c) => (1, c),
             Self::PendingLoad(slot) => (2, slot),
             Self::StalledLoad(a) => (3, a.0),
             Self::StalledStore(a) => (4, a.0),
         }
+        .to_value()
     }
+}
 
-    fn unpack(tag: u8, payload: u64) -> Result<Self, de::Error> {
+impl Deserialize for RobEntry {
+    fn from_value(v: &Value) -> Result<Self, de::Error> {
+        let (tag, payload): (u8, u64) = Deserialize::from_value(v)?;
         Ok(match tag {
             0 => Self::Ready(payload),
             1 => Self::HitLoad(payload),
@@ -124,26 +127,34 @@ impl CoreStats {
 }
 
 /// A 4-wide, ROB-limited, trace-driven core.
+#[derive(Serialize, Deserialize)]
+#[serde(check)]
 pub struct Core {
+    #[serde(skip)]
     id: CoreId,
     rob: VecDeque<RobEntry>,
+    #[serde(skip)]
     rob_cap: usize,
+    #[serde(skip)]
     issue_w: u32,
+    #[serde(skip)]
     retire_w: u32,
     store_buffer: VecDeque<PhysAddr>,
+    #[serde(skip)]
     store_cap: usize,
     /// ALU instructions from the current trace op still waiting to issue.
     pending_gap: u32,
     /// The current op's memory operation, not yet issued.
     pending_mem: Option<(PhysAddr, AccessKind)>,
-    trace: Box<dyn TraceSource>,
     next_slot: u64,
     completed: HashSet<u64>,
     /// Count of `Stalled*` ROB entries, kept so [`Wake::next_event`] is
     /// O(1) instead of scanning the ROB. Derived from `rob` — not
     /// serialized; recomputed on restore.
+    #[serde(skip)]
     stalled_entries: usize,
     stats: CoreStats,
+    trace: Box<dyn TraceSource>,
 }
 
 impl Core {
@@ -160,11 +171,11 @@ impl Core {
             store_cap: cfg.store_buffer_entries as usize,
             pending_gap: 0,
             pending_mem: None,
-            trace,
             next_slot: 0,
             completed: HashSet::new(),
             stalled_entries: 0,
             stats: CoreStats::default(),
+            trace,
         }
     }
 
@@ -416,43 +427,13 @@ impl Wake for Core {
     }
 }
 
-impl Snapshot for Core {
-    fn save_state(&self) -> Value {
-        let rob: Vec<(u8, u64)> = self.rob.iter().map(|e| e.pack()).collect();
-        let mut completed: Vec<u64> = self.completed.iter().copied().collect();
-        completed.sort_unstable();
-        Value::Map(vec![
-            ("rob".into(), rob.to_value()),
-            ("store_buffer".into(), self.store_buffer.to_value()),
-            ("pending_gap".into(), self.pending_gap.to_value()),
-            ("pending_mem".into(), self.pending_mem.to_value()),
-            ("next_slot".into(), self.next_slot.to_value()),
-            ("completed".into(), completed.to_value()),
-            ("stats".into(), self.stats.to_value()),
-            ("trace".into(), self.trace.save_state()),
-        ])
-    }
-
-    fn restore_state(&mut self, state: &Value) -> Result<(), de::Error> {
-        let rob_raw: Vec<(u8, u64)> = decode(state, "rob")?;
-        let mut rob = VecDeque::with_capacity(self.rob_cap);
-        for (tag, payload) in rob_raw {
-            rob.push_back(RobEntry::unpack(tag, payload)?);
-        }
-        self.rob = rob;
+impl Core {
+    fn check_restored(&mut self) -> Result<(), de::Error> {
         self.stalled_entries = self
             .rob
             .iter()
             .filter(|e| matches!(e, RobEntry::StalledLoad(_) | RobEntry::StalledStore(_)))
             .count();
-        self.store_buffer = decode(state, "store_buffer")?;
-        self.pending_gap = decode(state, "pending_gap")?;
-        self.pending_mem = decode(state, "pending_mem")?;
-        self.next_slot = decode(state, "next_slot")?;
-        let completed: Vec<u64> = decode(state, "completed")?;
-        self.completed = completed.into_iter().collect();
-        self.stats = decode(state, "stats")?;
-        self.trace.restore_state(field(state, "trace")?)?;
         Ok(())
     }
 }
@@ -462,6 +443,7 @@ mod tests {
     use super::*;
     use crate::trace::VecTrace;
     use camps_types::config::SystemConfig;
+    use camps_types::snapshot::Snapshot;
 
     /// A memory that always hits with a fixed latency.
     struct FlatMemory {

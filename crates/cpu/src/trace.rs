@@ -78,6 +78,27 @@ pub trait TraceSource: Send {
     }
 }
 
+/// A core's trace field snapshots through the source's own methods. A
+/// trace source cannot be built from a snapshot alone, only restored in
+/// place onto one built from the workload.
+impl Serialize for Box<dyn TraceSource> {
+    fn to_value(&self) -> Value {
+        TraceSource::save_state(&**self)
+    }
+}
+
+impl Deserialize for Box<dyn TraceSource> {
+    fn from_value(_: &Value) -> Result<Self, de::Error> {
+        Err(de::Error::custom(
+            "snapshot: a trace source restores only in place",
+        ))
+    }
+
+    fn from_value_in_place(&mut self, v: &Value) -> Result<(), de::Error> {
+        TraceSource::restore_state(&mut **self, v)
+    }
+}
+
 /// A trace that replays a fixed op sequence forever — test workhorse.
 #[derive(Debug, Clone)]
 pub struct VecTrace {
@@ -99,6 +120,18 @@ impl VecTrace {
             pos: 0,
             name: name.into(),
         }
+    }
+
+    /// Number of distinct ops (one loop iteration).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// Never true: construction rejects empty traces.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.ops.is_empty()
     }
 }
 

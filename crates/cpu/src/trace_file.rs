@@ -17,7 +17,7 @@
 //!   addr  u64   physical address (present only when kind != 0)
 //! ```
 
-use crate::trace::{TraceOp, TraceSource};
+use crate::trace::{TraceOp, TraceSource, VecTrace};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use camps_types::addr::PhysAddr;
 use camps_types::error::{SimError, TraceError};
@@ -98,15 +98,10 @@ pub fn record(source: &mut dyn TraceSource, ops: u64) -> TraceWriter {
 }
 
 /// A recorded trace, replayed in a loop (like every other
-/// [`TraceSource`]).
-#[derive(Debug, Clone)]
-pub struct FileTrace {
-    ops: Vec<TraceOp>,
-    pos: usize,
-    name: String,
-}
+/// [`TraceSource`]): a [`VecTrace`] loaded from the binary format.
+pub type FileTrace = VecTrace;
 
-impl FileTrace {
+impl VecTrace {
     /// Parses a trace from its byte representation.
     ///
     /// # Errors
@@ -165,11 +160,7 @@ impl FileTrace {
                 remaining: buf.remaining(),
             });
         }
-        Ok(Self {
-            ops,
-            pos: 0,
-            name: name.into(),
-        })
+        Ok(Self::new(name, ops))
     }
 
     /// Loads a trace file from disk.
@@ -188,54 +179,11 @@ impl FileTrace {
         })?;
         Ok(Self::from_bytes(name, &bytes)?)
     }
-
-    /// Number of distinct records (one loop iteration).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Never true: construction rejects empty traces.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-}
-
-impl TraceSource for FileTrace {
-    fn next_op(&mut self) -> TraceOp {
-        let op = self.ops[self.pos];
-        self.pos = (self.pos + 1) % self.ops.len();
-        op
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn save_state(&self) -> serde::value::Value {
-        use serde::Serialize as _;
-        self.pos.to_value()
-    }
-
-    fn restore_state(&mut self, state: &serde::value::Value) -> Result<(), serde::de::Error> {
-        use serde::Deserialize as _;
-        let pos = usize::from_value(state)?;
-        if pos >= self.ops.len() {
-            return Err(serde::de::Error::custom(format!(
-                "FileTrace cursor {pos} out of range for {} ops",
-                self.ops.len()
-            )));
-        }
-        self.pos = pos;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::VecTrace;
     use proptest::prelude::*;
 
     fn sample_ops() -> Vec<TraceOp> {

@@ -31,11 +31,6 @@ pub enum PfAction {
         /// §3.1); BASE-HIT/MMD leave the row open under the open-page
         /// policy.
         precharge_after: bool,
-        /// How many *additional* sequential rows (`key.row + 1 …`) to
-        /// prefetch after this one — MMD's adaptive lookahead degree.
-        /// Lookahead rows need their own activations; the vault schedules
-        /// them as background fetch jobs.
-        lookahead: u32,
         /// Distinct lines already served from the open row before this
         /// fetch (the RUT count); seeds the buffer entry's §3.2
         /// utilization counter.
@@ -109,6 +104,27 @@ pub trait PrefetchScheme: Send {
     fn restore_state(&mut self, state: &Value) -> Result<(), de::Error> {
         let _ = state;
         Ok(())
+    }
+}
+
+/// A vault's scheme field snapshots through the scheme's own methods. A
+/// scheme cannot be built from a snapshot alone, only restored in place
+/// onto one built from the configuration.
+impl Serialize for Box<dyn PrefetchScheme> {
+    fn to_value(&self) -> Value {
+        PrefetchScheme::save_state(&**self)
+    }
+}
+
+impl Deserialize for Box<dyn PrefetchScheme> {
+    fn from_value(_: &Value) -> Result<Self, de::Error> {
+        Err(de::Error::custom(
+            "snapshot: a prefetch scheme restores only in place",
+        ))
+    }
+
+    fn from_value_in_place(&mut self, v: &Value) -> Result<(), de::Error> {
+        PrefetchScheme::restore_state(&mut **self, v)
     }
 }
 

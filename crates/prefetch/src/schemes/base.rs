@@ -31,7 +31,6 @@ impl PrefetchScheme for Base {
         PfAction::FetchRow {
             key,
             precharge_after: true,
-            lookahead: 0,
             used_so_far: 1,
         }
     }
@@ -45,7 +44,6 @@ impl PrefetchScheme for Base {
         PfAction::FetchRow {
             key,
             precharge_after: true,
-            lookahead: 0,
             used_so_far: 1,
         }
     }
@@ -64,7 +62,6 @@ mod tests {
             PfAction::FetchRow {
                 key: k,
                 precharge_after: true,
-                lookahead: 0,
                 used_so_far: 1
             }
         );
@@ -73,7 +70,6 @@ mod tests {
             PfAction::FetchRow {
                 key: k,
                 precharge_after: true,
-                lookahead: 0,
                 used_so_far: 1
             }
         );
@@ -88,7 +84,6 @@ mod tests {
             PfAction::FetchRow {
                 key: k,
                 precharge_after: true,
-                lookahead: 0,
                 used_so_far: 1
             }
         );

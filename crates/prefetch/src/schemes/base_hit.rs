@@ -21,7 +21,6 @@ impl BaseHit {
             PfAction::FetchRow {
                 key,
                 precharge_after: false,
-                lookahead: 0,
                 used_so_far: 1,
             }
         } else {
@@ -69,7 +68,6 @@ mod tests {
             PfAction::FetchRow {
                 key: k,
                 precharge_after: false,
-                lookahead: 0,
                 used_so_far: 1
             }
         );
@@ -78,7 +76,6 @@ mod tests {
             PfAction::FetchRow {
                 key: k,
                 precharge_after: false,
-                lookahead: 0,
                 used_so_far: 1
             }
         );

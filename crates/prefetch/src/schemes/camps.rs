@@ -21,20 +21,22 @@ use crate::scheme::{PfAction, PrefetchScheme, SchemeKind};
 use crate::tables::{ConflictTable, RowUtilizationTable};
 use camps_types::addr::RowKey;
 use camps_types::config::PrefetchBufferConfig;
-use camps_types::snapshot::decode;
 use serde::value::Value;
-use serde::{de, Serialize as _};
+use serde::{de, Deserialize, Serialize};
 
 /// The conflict-aware scheme (CAMPS, or CAMPS-MOD when built with the
 /// utilization + recency replacement policy).
-#[derive(Debug)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct Camps {
     rut: RowUtilizationTable,
     ct: ConflictTable,
+    #[serde(skip)]
     threshold: u32,
     /// Minimum accumulated CT evidence (past accesses + the reactivating
     /// access) before a CT hit triggers the fetch.
+    #[serde(skip)]
     ct_evidence: u32,
+    #[serde(skip)]
     replacement: ReplacementKind,
 }
 
@@ -88,7 +90,6 @@ impl PrefetchScheme for Camps {
             PfAction::FetchRow {
                 key,
                 precharge_after: true,
-                lookahead: 0,
                 used_so_far: count,
             }
         } else {
@@ -117,7 +118,6 @@ impl PrefetchScheme for Camps {
                 return PfAction::FetchRow {
                     key,
                     precharge_after: true,
-                    lookahead: 0,
                     used_so_far: 1,
                 };
             }
@@ -141,18 +141,11 @@ impl PrefetchScheme for Camps {
     }
 
     fn save_state(&self) -> Value {
-        // `threshold`, `ct_evidence`, and `replacement` come from the
-        // configuration; only the profiling tables are mutable state.
-        Value::Map(vec![
-            ("rut".into(), self.rut.to_value()),
-            ("ct".into(), self.ct.to_value()),
-        ])
+        self.to_value()
     }
 
     fn restore_state(&mut self, state: &Value) -> Result<(), de::Error> {
-        self.rut = decode(state, "rut")?;
-        self.ct = decode(state, "ct")?;
-        Ok(())
+        self.from_value_in_place(state)
     }
 }
 
@@ -185,7 +178,6 @@ mod tests {
             PfAction::FetchRow {
                 key: k(0, 10),
                 precharge_after: true,
-                lookahead: 0,
                 used_so_far: 5
             }
         );
@@ -223,7 +215,6 @@ mod tests {
             PfAction::FetchRow {
                 key: k(0, 10),
                 precharge_after: true,
-                lookahead: 0,
                 used_so_far: 1
             }
         );

@@ -33,9 +33,8 @@ use crate::replacement::ReplacementKind;
 use crate::scheme::{PfAction, PrefetchScheme, SchemeKind};
 use crate::tables::RowUtilizationTable;
 use camps_types::addr::RowKey;
-use camps_types::snapshot::decode;
 use serde::value::Value;
-use serde::{de, Serialize as _};
+use serde::{de, Deserialize, Serialize};
 
 /// Most aggressive: fetch a row on its first access while open.
 const MIN_THRESHOLD: u32 = 1;
@@ -47,10 +46,11 @@ const HIGH_ACCURACY: f64 = 0.75;
 const LOW_ACCURACY: f64 = 0.40;
 
 /// The usefulness-adaptive scheme.
-#[derive(Debug)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct Mmd {
     hits: RowUtilizationTable,
     threshold: u32,
+    #[serde(skip)]
     epoch: u32,
     issued_in_epoch: u32,
     useful_in_epoch: u32,
@@ -97,7 +97,6 @@ impl Mmd {
             PfAction::FetchRow {
                 key,
                 precharge_after: false,
-                lookahead: 0,
                 used_so_far: count,
             }
         } else {
@@ -149,22 +148,11 @@ impl PrefetchScheme for Mmd {
     }
 
     fn save_state(&self) -> Value {
-        // `epoch` is a construction input; the hit table, the adaptive
-        // threshold, and the in-epoch feedback counters are mutable.
-        Value::Map(vec![
-            ("hits".into(), self.hits.to_value()),
-            ("threshold".into(), self.threshold.to_value()),
-            ("issued_in_epoch".into(), self.issued_in_epoch.to_value()),
-            ("useful_in_epoch".into(), self.useful_in_epoch.to_value()),
-        ])
+        self.to_value()
     }
 
     fn restore_state(&mut self, state: &Value) -> Result<(), de::Error> {
-        self.hits = decode(state, "hits")?;
-        self.threshold = decode(state, "threshold")?;
-        self.issued_in_epoch = decode(state, "issued_in_epoch")?;
-        self.useful_in_epoch = decode(state, "useful_in_epoch")?;
-        Ok(())
+        self.from_value_in_place(state)
     }
 }
 
@@ -193,7 +181,6 @@ mod tests {
             PfAction::FetchRow {
                 key: k(0, 5),
                 precharge_after: false,
-                lookahead: 0,
                 used_so_far: 2
             }
         );

@@ -32,7 +32,7 @@ impl VaultAudit {
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct AuditLedger {
     /// Per-vault conservation counts, indexed by vault id.
-    pub vaults: Vec<VaultAudit>,
+    pub vaults: Box<[VaultAudit]>,
 }
 
 impl AuditLedger {
@@ -40,7 +40,7 @@ impl AuditLedger {
     #[must_use]
     pub fn new(vaults: usize) -> Self {
         Self {
-            vaults: vec![VaultAudit::default(); vaults],
+            vaults: vec![VaultAudit::default(); vaults].into_boxed_slice(),
         }
     }
 

@@ -2,21 +2,25 @@
 //! manifest, and the checksum/versioning helpers shared by every stateful
 //! component.
 //!
-//! Serialization is value-based (the workspace's serde subset): a
-//! component lowers its mutable state to a [`Value`] tree and rebuilds
-//! itself from one. Restore never *constructs* a component — the caller
-//! rebuilds it from the same configuration/inputs first, then overlays
-//! the saved mutable state. That split keeps snapshots small (no config
-//! duplication) and makes config drift detectable via the manifest's
-//! config hash instead of silently misinterpreting state.
+//! Serialization is value-based (the workspace's serde subset), and a
+//! component's state is its derived `Serialize`/`Deserialize`. Restore
+//! never *constructs* a component — the caller rebuilds it from the same
+//! configuration/inputs first, then overlays the saved mutable state with
+//! [`Deserialize::from_value_in_place`]. That split keeps snapshots small
+//! (no config duplication) and makes config drift detectable via the
+//! manifest's config hash instead of silently misinterpreting state.
 //!
-//! Determinism rules every implementor must follow (DESIGN.md §8):
+//! Rules every component follows (DESIGN.md §8):
 //!
-//! * Hash-based collections serialize in sorted key order.
-//! * Priority queues serialize as sorted sequences and are rebuilt by
-//!   reinsertion.
-//! * Scratch/derived state (capacities, masks, latencies) is *not*
-//!   serialized; it comes from the rebuilt component.
+//! * Every field is captured unless marked `#[serde(skip)]`; only
+//!   construction inputs and scratch buffers are skipped.
+//! * Key order is field declaration order.
+//! * Hash-based collections and priority queues serialize as sorted
+//!   sequences (the vendored serde's encodings).
+//! * Fixed-shape collections (one entry per core, vault, bank) are boxed
+//!   slices, whose overlay rejects a length change.
+//! * Checks that reject a state the built component cannot hold run
+//!   after the overlay, via `#[serde(check)]`.
 
 use crate::clock::Cycle;
 use serde::value::lookup;
@@ -31,7 +35,8 @@ pub use serde::value::Value;
 pub const SNAPSHOT_FORMAT_VERSION: u32 = 1;
 
 /// A component whose complete mutable state can be captured and later
-/// overlaid onto a freshly rebuilt instance.
+/// overlaid onto a freshly rebuilt instance. Implemented for every
+/// serde type: the state is the derived encoding.
 pub trait Snapshot {
     /// Lowers the component's mutable state to a value tree.
     fn save_state(&self) -> Value;
@@ -44,6 +49,16 @@ pub trait Snapshot {
     /// match — a format break or a snapshot from a different
     /// configuration.
     fn restore_state(&mut self, state: &Value) -> Result<(), de::Error>;
+}
+
+impl<T: Serialize + Deserialize> Snapshot for T {
+    fn save_state(&self) -> Value {
+        self.to_value()
+    }
+
+    fn restore_state(&mut self, state: &Value) -> Result<(), de::Error> {
+        self.from_value_in_place(state)
+    }
 }
 
 /// Identification block stored next to the state payload in every
@@ -92,14 +107,6 @@ pub fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, de::Error> {
         .ok_or_else(|| de::Error::custom(format!("snapshot: missing field `{key}`")))
 }
 
-/// Decodes required field `key` of map value `v` as a `T`.
-///
-/// # Errors
-/// Propagates missing-field and shape errors.
-pub fn decode<T: Deserialize>(v: &Value, key: &str) -> Result<T, de::Error> {
-    T::from_value(field(v, key)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,10 +136,10 @@ mod tests {
     }
 
     #[test]
-    fn field_and_decode_report_missing_keys() {
+    fn field_reports_missing_keys() {
         let v = Value::Map(vec![("x".into(), Value::U64(7))]);
-        assert_eq!(decode::<u64>(&v, "x").unwrap(), 7);
-        let err = decode::<u64>(&v, "y").unwrap_err();
+        assert_eq!(field(&v, "x").unwrap(), &Value::U64(7));
+        let err = field(&v, "y").unwrap_err();
         assert!(err.to_string().contains("missing field `y`"));
         let err = field(&Value::U64(1), "x").unwrap_err();
         assert!(err.to_string().contains("expected map"));

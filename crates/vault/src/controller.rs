@@ -14,9 +14,7 @@ use camps_types::clock::Cycle;
 use camps_types::config::{PagePolicy, SchedulerKind, SystemConfig};
 use camps_types::error::{ConfigError, VaultSnapshot};
 use camps_types::request::{AccessKind, MemRequest, MemResponse, ServiceSource};
-use camps_types::snapshot::{decode, field, Snapshot};
 use camps_types::wake::{fold_wake, Wake};
-use serde::value::Value;
 use serde::{de, Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -35,10 +33,11 @@ struct FetchJob {
     precharge_after: bool,
     /// Distinct lines served from the row pre-fetch (seeds §3.2 utilization).
     seed_util: u32,
-    /// Background lookahead fetch: the row is not open and must be
-    /// activated by the fetch engine itself (MMD's degree > 1 rows).
+    /// Always `false`: every fetch copies a row that demand already
+    /// opened. Kept so snapshots keep the v1 layout, which the committed
+    /// checkpoint fixture pins.
     needs_activate: bool,
-    /// When the job was created (background jobs expire).
+    /// When the job was created (the start of its trace span).
     spawned: Cycle,
     /// Bus slots of the transfer still to stream. The row-wide TSV copy
     /// is interruptible: it is granted the bus one burst-slot at a time,
@@ -47,10 +46,6 @@ struct FetchJob {
     /// `None` until the final block's completion cycle is known.
     done: Option<Cycle>,
 }
-
-/// Background lookahead fetches that cannot start within this window are
-/// abandoned (the bank stayed busy with demand).
-const LOOKAHEAD_EXPIRY: Cycle = 4_000;
 
 /// A dirty buffer eviction being written back to its bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -61,25 +56,42 @@ struct WritebackJob {
 }
 
 /// One HMC vault: banks + queues + scheduler + prefetch engine.
+///
+/// Its snapshot is every field not marked `skip`; the skipped ones are
+/// derived configuration (timing, caps, mapping, scheduler and page
+/// policy, fetch chunking), rebuilt by the constructor.
+#[derive(Serialize, Deserialize)]
+#[serde(check)]
 pub struct VaultController {
+    #[serde(skip)]
     id: u16,
+    #[serde(skip)]
     timing: TimingCpu,
-    banks: Vec<Bank>,
+    banks: Box<[Bank]>,
     window: ActWindow,
+    #[serde(skip)]
     scheduler: SchedulerKind,
+    #[serde(skip)]
     page_policy: PagePolicy,
+    #[serde(skip)]
     read_cap: usize,
+    #[serde(skip)]
     write_cap: usize,
-    rows_per_bank: u32,
     /// Blocks per row (push packet expansion).
+    #[serde(skip)]
     blocks_per_row: u32,
     /// Bus slots (bursts) a whole-row transfer occupies in total.
+    #[serde(skip)]
     fetch_chunks: u32,
     /// §2.4 counter-design switch: push prefetched blocks to the LLC.
+    #[serde(skip)]
     push_to_llc: bool,
     push_seq: u64,
+    #[serde(skip)]
     mapping: camps_types::addr::AddressMapping,
+    #[serde(skip)]
     drain_high: usize,
+    #[serde(skip)]
     drain_low: usize,
     draining: bool,
     read_q: Vec<Queued>,
@@ -89,7 +101,8 @@ pub struct VaultController {
     fetches: Vec<FetchJob>,
     writeback_q: VecDeque<RowKey>,
     active_writeback: Option<WritebackJob>,
-    want_precharge: Vec<bool>,
+    /// One per bank.
+    want_precharge: Box<[bool]>,
     /// The vault's shared TSV data bus is occupied until this cycle. All
     /// data movement — 64 B bursts and whole-row transfers, demand or
     /// prefetch — serializes here; this is what makes useless row fetches
@@ -101,18 +114,25 @@ pub struct VaultController {
     refresh_pending: bool,
     responses: BinaryHeap<Reverse<(Cycle, u64, MemResponse)>>,
     resp_seq: u64,
+    #[serde(skip)]
     hit_latency: Cycle,
     stats: VaultStats,
     /// Per-row activation counters for the current refresh window
     /// (RowHammer accounting; always on, observation-only by default).
+    /// Snapshots that predate the tracker carry no key: absence means an
+    /// empty window, not corruption.
+    #[serde(default)]
     rowguard: RowGuard,
     /// TRR-style mitigation knob and threshold (derived configuration —
     /// rebuilt by the constructor, not snapshotted).
+    #[serde(skip)]
     mitigate: bool,
+    #[serde(skip)]
     mitigate_threshold: u32,
     /// Observability hooks. Runtime pacing only — like `Engine`, this is
-    /// deliberately excluded from [`Snapshot`] so checkpoints stay
+    /// deliberately excluded from snapshots so checkpoints stay
     /// byte-identical with and without observability.
+    #[serde(skip)]
     obs: TraceHandle,
 }
 
@@ -140,7 +160,6 @@ impl VaultController {
             page_policy: cfg.vault.page_policy,
             read_cap: cfg.vault.read_queue as usize,
             write_cap: cfg.vault.write_queue as usize,
-            rows_per_bank: cfg.hmc.rows_per_bank,
             blocks_per_row: cfg.hmc.blocks_per_row(),
             fetch_chunks: (timing.t_row_transfer / timing.t_burst.max(1)).max(1) as u32,
             push_to_llc: cfg.prefetch.push_to_llc,
@@ -156,7 +175,7 @@ impl VaultController {
             fetches: Vec::new(),
             writeback_q: VecDeque::new(),
             active_writeback: None,
-            want_precharge: vec![false; cfg.hmc.banks_per_vault as usize],
+            want_precharge: vec![false; cfg.hmc.banks_per_vault as usize].into_boxed_slice(),
             bus_free: 0,
             // Stagger refresh deadlines across vaults so the cube never
             // refreshes everywhere at once.
@@ -501,35 +520,6 @@ impl VaultController {
                 continue;
             }
             let bank_idx = usize::from(job.key.bank);
-            if job.needs_activate && self.banks[bank_idx].open_row() != Some(job.key.row) {
-                // Background lookahead: open the row ourselves when the
-                // bank is idle and demand does not need it; expire stale
-                // jobs instead of camping on a busy bank.
-                if now.saturating_sub(job.spawned) > LOOKAHEAD_EXPIRY {
-                    self.stats.prefetches_dropped.inc();
-                    self.fetches.swap_remove(i);
-                    continue;
-                }
-                let demand_pending = self
-                    .read_q
-                    .iter()
-                    .chain(self.write_q.iter())
-                    .any(|q| q.bank() == bank_idx);
-                if !demand_pending
-                    && !self.refresh_pending
-                    && self.banks[bank_idx].open_row().is_none()
-                    && self.banks[bank_idx].can_activate(now)
-                    && self.window.can_activate(now)
-                {
-                    self.banks[bank_idx].activate(now, job.key.row, &self.timing);
-                    self.window.record(now);
-                    self.stats.energy.activates += 1;
-                    self.stats.prefetch_activations.inc();
-                    self.note_activation(job.key.bank, job.key.row, now);
-                }
-                i += 1;
-                continue;
-            }
             let bank = &mut self.banks[bank_idx];
             if bank.open_row() != Some(job.key.row) {
                 // The row closed before the transfer could start (conflict
@@ -844,46 +834,19 @@ impl VaultController {
         let PfAction::FetchRow {
             key,
             precharge_after,
-            lookahead,
             used_so_far,
         } = action
         else {
             return;
         };
-        self.spawn_fetch(key, precharge_after, false, now, used_so_far);
-        // Lookahead rows (MMD degree > 1): sequentially following rows in
-        // the same bank, fetched in the background with their own
-        // activations and precharged afterwards.
-        for i in 1..=lookahead {
-            let row = key.row.saturating_add(i);
-            if row >= self.rows_per_bank {
-                break;
-            }
-            self.spawn_fetch(
-                RowKey {
-                    bank: key.bank,
-                    row,
-                },
-                true,
-                true,
-                now,
-                0,
-            );
-        }
+        self.spawn_fetch(key, precharge_after, now, used_so_far);
     }
 
-    fn spawn_fetch(
-        &mut self,
-        key: RowKey,
-        precharge_after: bool,
-        background: bool,
-        now: Cycle,
-        used_so_far: u32,
-    ) {
+    fn spawn_fetch(&mut self, key: RowKey, precharge_after: bool, now: Cycle, used_so_far: u32) {
         if self.buffer.contains(key) || self.fetches.iter().any(|f| f.key == key) {
             return;
         }
-        if !background && self.banks[usize::from(key.bank)].open_row() != Some(key.row) {
+        if self.banks[usize::from(key.bank)].open_row() != Some(key.row) {
             // A demand-triggered fetch can only copy the row that is open;
             // if it closed in the same cycle, drop the request.
             self.stats.prefetches_dropped.inc();
@@ -892,7 +855,7 @@ impl VaultController {
         self.fetches.push(FetchJob {
             key,
             precharge_after,
-            needs_activate: background,
+            needs_activate: false,
             spawned: now,
             seed_util: used_so_far,
             chunks_left: self.fetch_chunks,
@@ -1042,8 +1005,7 @@ impl Wake for VaultController {
             }
         }
 
-        // Row fetches: completions, background activations (bounded by
-        // their expiry), and bus slots for the next chunk.
+        // Row fetches: completions and bus slots for the next chunk.
         for job in &self.fetches {
             if let Some(done) = job.done {
                 up(done);
@@ -1054,15 +1016,6 @@ impl Wake for VaultController {
                 continue;
             }
             let bank = &self.banks[usize::from(job.key.bank)];
-            if job.needs_activate && bank.open_row() != Some(job.key.row) {
-                up(job.spawned + LOOKAHEAD_EXPIRY + 1);
-                if bank.open_row().is_none() {
-                    up(bank
-                        .activate_ready_at()
-                        .max(self.window.earliest_activate()));
-                }
-                continue;
-            }
             if bank.open_row() != Some(job.key.row) {
                 up(now + 1); // row closed under the fetch: dropped next tick
                 continue;
@@ -1108,86 +1061,13 @@ impl Wake for VaultController {
     }
 }
 
-impl Snapshot for VaultController {
-    fn save_state(&self) -> Value {
-        // Derived configuration (timing, caps, mapping, scheduler/page
-        // policy, fetch chunking) is rebuilt by the constructor; every
-        // mutable field is captured. The response priority queue
-        // serializes as a sorted sequence and is rebuilt by reinsertion.
-        let mut responses: Vec<(Cycle, u64, MemResponse)> =
-            self.responses.iter().map(|Reverse(entry)| *entry).collect();
-        responses.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
-        Value::Map(vec![
-            ("banks".into(), self.banks.to_value()),
-            ("window".into(), self.window.to_value()),
-            ("push_seq".into(), self.push_seq.to_value()),
-            ("draining".into(), self.draining.to_value()),
-            ("read_q".into(), self.read_q.to_value()),
-            ("write_q".into(), self.write_q.to_value()),
-            ("buffer".into(), self.buffer.to_value()),
-            ("scheme".into(), self.scheme.save_state()),
-            ("fetches".into(), self.fetches.to_value()),
-            ("writeback_q".into(), self.writeback_q.to_value()),
-            ("active_writeback".into(), self.active_writeback.to_value()),
-            ("want_precharge".into(), self.want_precharge.to_value()),
-            ("bus_free".into(), self.bus_free.to_value()),
-            ("next_refresh".into(), self.next_refresh.to_value()),
-            ("refresh_pending".into(), self.refresh_pending.to_value()),
-            ("responses".into(), responses.to_value()),
-            ("resp_seq".into(), self.resp_seq.to_value()),
-            ("stats".into(), self.stats.to_value()),
-            ("rowguard".into(), self.rowguard.to_value()),
-        ])
-    }
-
-    fn restore_state(&mut self, state: &Value) -> Result<(), de::Error> {
-        let banks: Vec<Bank> = decode(state, "banks")?;
-        if banks.len() != self.banks.len() {
-            return Err(de::Error::custom(format!(
-                "snapshot: {} banks for a {}-bank vault",
-                banks.len(),
-                self.banks.len()
-            )));
-        }
-        let want_precharge: Vec<bool> = decode(state, "want_precharge")?;
-        if want_precharge.len() != self.want_precharge.len() {
-            return Err(de::Error::custom(
-                "snapshot: want_precharge length does not match bank count",
-            ));
-        }
-        let read_q: Vec<Queued> = decode(state, "read_q")?;
-        let write_q: Vec<Queued> = decode(state, "write_q")?;
-        if read_q.len() > self.read_cap || write_q.len() > self.write_cap {
+impl VaultController {
+    fn check_restored(&mut self) -> Result<(), de::Error> {
+        if self.read_q.len() > self.read_cap || self.write_q.len() > self.write_cap {
             return Err(de::Error::custom(
                 "snapshot: queue contents exceed configured capacity",
             ));
         }
-        self.banks = banks;
-        self.want_precharge = want_precharge;
-        self.read_q = read_q;
-        self.write_q = write_q;
-        self.window = decode(state, "window")?;
-        self.push_seq = decode(state, "push_seq")?;
-        self.draining = decode(state, "draining")?;
-        self.buffer = decode(state, "buffer")?;
-        self.scheme.restore_state(field(state, "scheme")?)?;
-        self.fetches = decode(state, "fetches")?;
-        self.writeback_q = decode(state, "writeback_q")?;
-        self.active_writeback = decode(state, "active_writeback")?;
-        self.bus_free = decode(state, "bus_free")?;
-        self.next_refresh = decode(state, "next_refresh")?;
-        self.refresh_pending = decode(state, "refresh_pending")?;
-        let responses: Vec<(Cycle, u64, MemResponse)> = decode(state, "responses")?;
-        self.responses = responses.into_iter().map(Reverse).collect();
-        self.resp_seq = decode(state, "resp_seq")?;
-        self.stats = decode(state, "stats")?;
-        // Snapshots that predate the rowguard tracker carry no key:
-        // absence means an empty window, not corruption.
-        self.rowguard = if field(state, "rowguard").is_ok() {
-            decode(state, "rowguard")?
-        } else {
-            RowGuard::new()
-        };
         Ok(())
     }
 }
@@ -1197,6 +1077,8 @@ mod tests {
     use super::*;
     use camps_types::addr::AddressMapping;
     use camps_types::request::{CoreId, RequestId};
+    use camps_types::snapshot::Snapshot;
+    use serde::value::Value;
 
     fn cfg() -> SystemConfig {
         let mut c = SystemConfig::paper_default();

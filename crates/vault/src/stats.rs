@@ -47,9 +47,10 @@ pub struct VaultStats {
     /// ACT commands issued on behalf of demand requests.
     #[serde(default)]
     pub demand_activations: Counter,
-    /// ACT commands issued to fetch prefetch rows into the buffer — the
-    /// activations a prefetching scheme *adds* over a no-prefetch
-    /// baseline (RowHammer amplification numerator).
+    /// ACT commands issued to fetch prefetch rows into the buffer. Always
+    /// 0: every row fetch copies a row that demand already opened. Kept
+    /// because the checkpoint fixture and `runresult_single_cube.tsv`
+    /// pin the key, and the RowHammer amplification report sums it.
     #[serde(default)]
     pub prefetch_activations: Counter,
     /// ACT commands issued to write dirty prefetched rows back.

@@ -28,15 +28,14 @@
 //!   training the scheme to fill its buffer with rows that will never
 //!   be referenced again.
 
+use crate::seed::TraceRng;
 use camps_cpu::trace::{TraceOp, TraceSource};
 use camps_types::addr::{AddressMapping, DecodedAddr, PhysAddr};
 use camps_types::config::HmcGeometry;
 use camps_types::request::AccessKind;
-use camps_types::snapshot::decode;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use rand::Rng;
 use serde::value::Value;
-use serde::{de, Serialize as _};
+use serde::{de, Deserialize, Serialize};
 use std::fmt;
 
 /// Spacing between single-sided aggressor rows: far enough apart that
@@ -204,20 +203,28 @@ impl AdversarialSpec {
 }
 
 /// A validated adversarial stream bound to one cube geometry.
+#[derive(Serialize, Deserialize)]
 pub struct AdversarialTrace {
+    #[serde(skip)]
     spec: AdversarialSpec,
+    #[serde(skip)]
     mapping: AddressMapping,
     /// Precomputed target rows (empty for pollution, which derives its
     /// rows from the op counter).
+    #[serde(skip)]
     rows: Vec<u32>,
+    #[serde(skip)]
     rows_per_bank: u64,
+    #[serde(skip)]
     blocks_per_row: u64,
+    #[serde(skip)]
     addr_bits: u32,
     /// Ops the pollution pattern dwells on one row pair.
+    #[serde(skip)]
     touches: u64,
+    rng: TraceRng,
     /// Ops issued so far — the sole address-state of the stream.
     ops: u64,
-    rng: ChaCha8Rng,
 }
 
 impl AdversarialTrace {
@@ -284,7 +291,7 @@ impl AdversarialTrace {
         let mapping = hmc
             .address_mapping()
             .map_err(|e| WorkloadError::Geometry(e.to_string()))?;
-        let rng = ChaCha8Rng::seed_from_u64(spec.seed ^ fxhash(&spec.name));
+        let rng = TraceRng::new(spec.seed, &spec.name);
         Ok(Self {
             rows,
             rows_per_bank: u64::from(hmc.rows_per_bank),
@@ -364,30 +371,12 @@ impl TraceSource for AdversarialTrace {
     }
 
     fn save_state(&self) -> Value {
-        Value::Map(vec![
-            ("rng".into(), self.rng.export_state().to_value()),
-            ("ops".into(), self.ops.to_value()),
-        ])
+        self.to_value()
     }
 
     fn restore_state(&mut self, state: &Value) -> Result<(), de::Error> {
-        let (key, counter, buf, idx): (Vec<u32>, u64, Vec<u32>, usize) = decode(state, "rng")?;
-        self.rng = ChaCha8Rng::import_state(&key, counter, &buf, idx)
-            .ok_or_else(|| de::Error::custom("snapshot: malformed ChaCha8 RNG state"))?;
-        self.ops = decode(state, "ops")?;
-        Ok(())
+        self.from_value_in_place(state)
     }
-}
-
-/// Tiny stable string hash for seed derivation (deterministic across
-/// platforms, unlike `DefaultHasher`).
-fn fxhash(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -1,22 +1,25 @@
 //! The synthetic trace generator.
 
 use crate::profile::BenchProfile;
+use crate::seed::TraceRng;
 use camps_cpu::trace::{TraceOp, TraceSource};
 use camps_types::addr::PhysAddr;
 use camps_types::request::AccessKind;
-use camps_types::snapshot::decode;
-use rand::{Rng, RngCore, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use rand::{Rng, RngCore};
 use serde::value::Value;
-use serde::{de, Serialize as _};
+use serde::{de, Deserialize, Serialize};
 
 /// A deterministic, seedable trace generator realizing a
 /// [`BenchProfile`] inside a private physical-address slice.
+#[derive(Serialize, Deserialize)]
 pub struct SpecTrace {
+    #[serde(skip)]
     profile: BenchProfile,
+    #[serde(skip)]
     base: u64,
+    #[serde(skip)]
     span: u64,
-    rng: ChaCha8Rng,
+    rng: TraceRng,
     /// Per-stream byte cursors for the streaming engine.
     stream_cursors: Vec<u64>,
     /// Cursor of the strided engine, in bytes.
@@ -29,8 +32,10 @@ pub struct SpecTrace {
     /// Accesses left before the region drifts.
     region_left: u32,
     /// Cumulative pattern thresholds scaled to u32 for cheap sampling.
+    #[serde(skip)]
     thresholds: [u32; 5],
     /// Average gap between memory ops (expected value of the gap draw).
+    #[serde(skip)]
     mean_gap: f64,
 }
 
@@ -50,7 +55,7 @@ impl SpecTrace {
             profile.name
         );
         // Distinct streams start spread across the working set.
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ fxhash(profile.name));
+        let mut rng = TraceRng::new(seed, profile.name);
         // Random start positions: real programs' arrays do not march
         // through the same banks in lockstep, and aligned cursors would
         // manufacture worst-case conflict pathologies.
@@ -162,38 +167,18 @@ impl TraceSource for SpecTrace {
     }
 
     fn save_state(&self) -> Value {
-        // `thresholds`/`mean_gap` are derived from the profile and
-        // `base`/`span` are construction inputs — only the mutable
-        // cursors and the RNG stream position are captured.
-        Value::Map(vec![
-            ("rng".into(), self.rng.export_state().to_value()),
-            ("stream_cursors".into(), self.stream_cursors.to_value()),
-            ("stride_cursor".into(), self.stride_cursor.to_value()),
-            ("active_stream".into(), self.active_stream.to_value()),
-            ("burst_left".into(), self.burst_left.to_value()),
-            ("region_base".into(), self.region_base.to_value()),
-            ("region_left".into(), self.region_left.to_value()),
-        ])
+        self.to_value()
     }
 
     fn restore_state(&mut self, state: &Value) -> Result<(), de::Error> {
-        let (key, counter, buf, idx): (Vec<u32>, u64, Vec<u32>, usize) = decode(state, "rng")?;
-        self.rng = ChaCha8Rng::import_state(&key, counter, &buf, idx)
-            .ok_or_else(|| de::Error::custom("snapshot: malformed ChaCha8 RNG state"))?;
-        let stream_cursors: Vec<u64> = decode(state, "stream_cursors")?;
-        if stream_cursors.len() != self.stream_cursors.len() {
+        self.from_value_in_place(state)?;
+        if self.stream_cursors.len() != self.profile.streams as usize {
             return Err(de::Error::custom(format!(
                 "snapshot: {} stream cursors for a {}-stream profile",
-                stream_cursors.len(),
-                self.stream_cursors.len()
+                self.stream_cursors.len(),
+                self.profile.streams
             )));
         }
-        self.stream_cursors = stream_cursors;
-        self.stride_cursor = decode(state, "stride_cursor")?;
-        self.active_stream = decode(state, "active_stream")?;
-        self.burst_left = decode(state, "burst_left")?;
-        self.region_base = decode(state, "region_base")?;
-        self.region_left = decode(state, "region_left")?;
         if self.active_stream >= self.stream_cursors.len() {
             return Err(de::Error::custom(format!(
                 "snapshot: active stream {} out of range",
@@ -202,17 +187,6 @@ impl TraceSource for SpecTrace {
         }
         Ok(())
     }
-}
-
-/// Tiny stable string hash for seed derivation (deterministic across
-/// platforms, unlike `DefaultHasher`).
-fn fxhash(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

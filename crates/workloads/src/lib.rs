@@ -16,6 +16,7 @@ pub mod adversarial;
 pub mod generator;
 pub mod mixes;
 pub mod profile;
+mod seed;
 pub mod spec;
 
 pub use adversarial::{AdversarialSpec, AdversarialTrace, AttackKind, WorkloadError};

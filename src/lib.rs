@@ -39,7 +39,7 @@ pub use camps_workloads;
 
 /// The names most programs need, in one import.
 pub mod prelude {
-    pub use camps::experiment::{run_matrix, run_mix, run_replicated, Replicated, RunLength};
+    pub use camps::experiment::{run_mix, RunLength};
     pub use camps::metrics::{average_speedup, speedup_table, RunResult};
     pub use camps::system::System;
     pub use camps_prefetch::SchemeKind;

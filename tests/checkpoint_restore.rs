@@ -7,10 +7,13 @@
 //! propagates the original typed error.
 
 use camps::experiment::RunSpec;
-use camps::recovery::{read_snapshot, snapshot_to_string, SNAPSHOT_FORMAT_VERSION};
-use camps::system::Engine;
+use camps::recovery::{
+    decode_snapshot, read_snapshot, snapshot_to_string, SNAPSHOT_FORMAT_VERSION,
+};
+use camps::system::{Engine, RunState};
 use camps::System;
 use camps_obs::ObsConfig;
+use camps_sim::camps_types::snapshot::Value;
 use camps_sim::prelude::*;
 use std::path::PathBuf;
 
@@ -135,8 +138,8 @@ fn snapshots_are_byte_identical_with_and_without_observability() {
 
 #[test]
 fn rowguard_counters_ride_in_snapshots_and_round_trip_bit_identically() {
-    use camps::recovery::{decode_snapshot, restore_run};
-    use camps_sim::camps_types::snapshot::{field, Value};
+    use camps::recovery::restore_run;
+    use camps_sim::camps_types::snapshot::field;
 
     let cfg = fixture_cfg();
     let mix = Mix::by_id("HM1").expect("known mix");
@@ -192,8 +195,8 @@ fn rowguard_counters_ride_in_snapshots_and_round_trip_bit_identically() {
 
 // ---------------------------------------------------------------------
 // Committed-fixture compatibility: a snapshot written by an earlier
-// build must keep restoring. CI runs `committed_fixture_restores…` on
-// every push; regenerate with
+// build must keep restoring, and a fresh one must keep its layout. CI
+// runs the `committed_fixture*` tests on every push; regenerate with
 // `cargo test --test checkpoint_restore -- --ignored` when the format
 // version is bumped (and bump SNAPSHOT_FORMAT_VERSION when layout
 // changes).
@@ -217,9 +220,10 @@ fn fixture_cfg() -> SystemConfig {
 const FIXTURE_MIX: &str = "HM1";
 const FIXTURE_SEED: u64 = 0xF1C;
 
-#[test]
-#[ignore = "regenerates the committed fixture; run manually"]
-fn generate_checkpoint_fixture() {
+/// The fixture machine: HM1 under CAMPS, stepped to cycle 300. Early
+/// enough to keep the fixture small, late enough for in-flight requests
+/// and partly primed caches (the interesting restore cases).
+fn fixture_machine() -> (System, RunState) {
     let cfg = fixture_cfg();
     let mix = Mix::by_id(FIXTURE_MIX).expect("known mix");
     let capacity = cfg
@@ -229,22 +233,77 @@ fn generate_checkpoint_fixture() {
         .capacity_bytes();
     let traces = mix.build_traces(capacity, FIXTURE_SEED).expect("traces");
     let mut sys = System::new(&cfg, SchemeKind::Camps, traces).expect("system");
-    // Checkpoint early: enough cycles for in-flight requests and partly
-    // primed caches (the interesting restore cases) without committing
-    // tens of thousands of fixture lines of fully warmed cache state.
     let mut run = sys.run_begin(3_000, 2_000_000);
     while sys.now() < 300 {
         assert!(sys.run_step(&mut run).expect("step"), "run ended too early");
     }
+    (sys, run)
+}
+
+#[test]
+#[ignore = "regenerates the committed fixture; run manually"]
+fn generate_checkpoint_fixture() {
+    let (sys, run) = fixture_machine();
     // Committed compactly: `read_snapshot` is whitespace-insensitive and
     // the checksum is over the compact serialization, so this is still
     // format v1 — but a regeneration diffs as one changed line instead of
     // tens of thousands.
     let text = snapshot_to_string(&sys, &run, FIXTURE_MIX, FIXTURE_SEED).expect("serialize");
-    let doc: camps_sim::camps_types::snapshot::Value =
-        serde_json::from_str(&text).expect("valid snapshot JSON");
+    let doc: Value = serde_json::from_str(&text).expect("valid snapshot JSON");
     let compact = serde_json::to_string(&doc).expect("compact render");
     std::fs::write(fixture_path(), compact + "\n").expect("write fixture");
+}
+
+/// `fresh` cut down to the map keys `old` has, recursively, so keys added
+/// since `old` was written (under `#[serde(default)]`) drop out.
+fn keep_keys_of(fresh: &Value, old: &Value) -> Value {
+    match (fresh, old) {
+        (Value::Map(fresh), Value::Map(old)) => Value::Map(
+            fresh
+                .iter()
+                .filter_map(|(k, v)| {
+                    let (_, o) = old.iter().find(|(ok, _)| ok == k)?;
+                    Some((k.clone(), keep_keys_of(v, o)))
+                })
+                .collect(),
+        ),
+        (Value::Seq(fresh), Value::Seq(old)) if fresh.len() == old.len() => Value::Seq(
+            fresh
+                .iter()
+                .zip(old)
+                .map(|(f, o)| keep_keys_of(f, o))
+                .collect(),
+        ),
+        _ => fresh.clone(),
+    }
+}
+
+#[test]
+fn committed_fixture_matches_a_fresh_snapshot() {
+    // Pins the v1 layout: key names, key order and value encodings. A
+    // fresh snapshot of the fixture machine, cut to the fixture's keys,
+    // must be byte-identical to the committed state.
+    let (committed_manifest, committed_state) =
+        read_snapshot(&fixture_path()).expect("fixture must verify");
+    let (sys, run) = fixture_machine();
+    let text = snapshot_to_string(&sys, &run, FIXTURE_MIX, FIXTURE_SEED).expect("serialize");
+    let (manifest, state) = decode_snapshot(&text).expect("decode own snapshot");
+    assert_eq!(manifest, committed_manifest);
+    let fresh = serde_json::to_string(&keep_keys_of(&state, &committed_state)).expect("render");
+    let committed = serde_json::to_string(&committed_state).expect("render");
+    // Not `assert_eq!`: the two strings are ~200 KB. Show where they part.
+    let at = fresh
+        .bytes()
+        .zip(committed.bytes())
+        .position(|(a, b)| a != b)
+        .unwrap_or(fresh.len().min(committed.len()));
+    assert!(
+        fresh == committed,
+        "a fresh snapshot no longer matches the committed v1 layout at byte {at}: \
+         committed …{}…, fresh …{}…",
+        &committed[at.saturating_sub(60)..(at + 60).min(committed.len())],
+        &fresh[at.saturating_sub(60)..(at + 60).min(fresh.len())]
+    );
 }
 
 #[test]
