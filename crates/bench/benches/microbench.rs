@@ -6,7 +6,7 @@
 //! Run: `cargo bench -p camps-bench --bench microbench`
 
 use camps::experiment::{run_mix, RunLength};
-use camps_dram::bank::Bank;
+use camps_dram::bank::{Bank, Cause, DramCmd};
 use camps_dram::timing::TimingCpu;
 use camps_obs::Profiler;
 use camps_prefetch::buffer::PrefetchBuffer;
@@ -58,18 +58,25 @@ fn bench_bank_fsm(c: &mut Criterion) {
     let cfg = SystemConfig::paper_default();
     let t = TimingCpu::from_config(&cfg.dram, cfg.cpu.freq_hz);
     c.bench_function("dram/act_read_pre_cycle", |b| {
+        let act = DramCmd::Act {
+            bank: 0,
+            row: 5,
+            cause: Cause::Demand,
+        };
+        let rd = DramCmd::Rd {
+            bank: 0,
+            cause: Cause::Demand,
+        };
+        let pre = DramCmd::Pre { bank: 0 };
         let mut bank = Bank::new();
         let mut now = 0u64;
         b.iter(|| {
-            now = bank.activate_ready_at().max(now);
-            bank.activate(now, 5, &t);
-            now += t.t_rcd;
-            black_box(bank.read(now, &t));
-            now = now.max(now + t.t_rtp).max(bank.activate_ready_at());
-            while !bank.can_precharge(now) {
-                now += 1;
-            }
-            bank.precharge(now, &t);
+            now = now.max(bank.ready_at(&act).unwrap());
+            bank.apply(act, now, &t);
+            now = bank.ready_at(&rd).unwrap();
+            black_box(bank.apply(rd, now, &t));
+            now = bank.ready_at(&pre).unwrap();
+            bank.apply(pre, now, &t);
         });
     });
 }

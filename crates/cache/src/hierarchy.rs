@@ -193,15 +193,6 @@ impl CacheHierarchy {
     }
 }
 
-impl camps_types::wake::Wake for CacheHierarchy {
-    /// The hierarchy is functional-with-latency: every state change happens
-    /// synchronously inside an `access`/`fill` call from the memory
-    /// subsystem. It has no timers of its own.
-    fn next_event(&self, _now: Cycle) -> Option<Cycle> {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -108,15 +108,6 @@ impl MshrFile {
     }
 }
 
-impl camps_types::wake::Wake for MshrFile {
-    /// MSHRs hold waiters, not timers: entries complete when the cube
-    /// delivers a response (an event the memory subsystem already wakes
-    /// on), so the file itself never needs a tick.
-    fn next_event(&self, _now: camps_types::clock::Cycle) -> Option<camps_types::clock::Cycle> {
-        None
-    }
-}
-
 impl MshrFile {
     fn check_restored(&mut self) -> Result<(), de::Error> {
         if self.entries.len() > self.capacity {

@@ -245,7 +245,7 @@ mod tests {
         for _ in 0..2_500 {
             sys.run_step(&mut run).unwrap();
         }
-        let dir = std::env::temp_dir().join("camps-recovery-test");
+        let dir = std::env::temp_dir().join("camps-checkpoint-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("mid.ckpt.json");
         write_snapshot(&path, &sys, &run, "unit", 7).unwrap();

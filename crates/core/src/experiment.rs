@@ -7,8 +7,8 @@
 //! deterministic; the [`sweep`](crate::sweep) supervisor fans the
 //! independent runs of a matrix out over the host cores.
 
+use crate::checkpoint::{read_snapshot, restore_run, scheme_from_name, write_snapshot};
 use crate::metrics::RunResult;
-use crate::recovery::{read_snapshot, restore_run, scheme_from_name, write_snapshot};
 use crate::system::{Engine, RunState, System};
 use camps_obs::{Comp, ObsConfig};
 use camps_prefetch::SchemeKind;

@@ -392,7 +392,10 @@ impl Wake for HmcDevice {
     /// — retries probe the prefetch buffer and count lookups, so they must
     /// run every cycle), and the earliest wake of every vault. Token-blocked
     /// queue heads need no wake of their own: the tokens they wait for are
-    /// always represented by a pending `token_returns` entry.
+    /// always represented by a pending `token_returns` entry. Serial links
+    /// and crossbars hold no timers: a send only queues behind a busy
+    /// serializer, routing happens synchronously inside the tick, and the
+    /// packets in flight wait in the heaps above.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let next = now + 1;
         // Cheapest immediate-wake sources first: once the answer is

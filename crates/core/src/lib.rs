@@ -22,7 +22,7 @@
 //! * [`metrics`] — per-run results ([`metrics::RunResult`]),
 //! * [`experiment`] — the run driver ([`RunSpec`]: warmup or resume,
 //!   checkpoints, deadline, observers),
-//! * [`recovery`] — checkpoint/restore of a mid-flight run: the
+//! * [`checkpoint`] — checkpoint/restore of a mid-flight run: the
 //!   verified snapshot format the driver writes and resumes from,
 //! * [`sweep`] — the resilient parallel sweep supervisor: fault-isolated
 //!   jobs, retry-with-resume, a crash-safe journal, partial results.
@@ -34,19 +34,19 @@
 #![warn(missing_docs)]
 
 pub mod audit;
+pub mod checkpoint;
 pub mod experiment;
 pub mod hmc;
 pub mod metrics;
-pub mod recovery;
 pub mod sweep;
 pub mod system;
 pub mod topology;
 
 pub use audit::RequestAuditor;
+pub use checkpoint::{read_snapshot, write_snapshot};
 pub use experiment::{run_mix, Run, RunLength, RunSpec};
 pub use hmc::HmcDevice;
 pub use metrics::{fairness, Fairness, RunResult};
-pub use recovery::{read_snapshot, write_snapshot};
 pub use sweep::{run_sweep, JobOutcome, JobRecord, SweepPolicy, SweepReport, SweepRun};
 pub use system::{Engine, System};
 pub use topology::Topology;

@@ -33,9 +33,9 @@
 //! are byte-for-byte the same whether it ran on 1 thread or 16, straight
 //! through or killed and resumed.
 
+use crate::checkpoint::config_hash;
 use crate::experiment::{RunLength, RunSpec};
 use crate::metrics::RunResult;
-use crate::recovery::config_hash;
 use camps_obs::{ObsConfig, TraceHandle};
 use camps_prefetch::SchemeKind;
 use camps_types::clock::Cycle;

@@ -175,9 +175,9 @@ impl MemorySubsystem {
         self.auditor.take_violation()
     }
 
-    /// End-of-run conservation check; only meaningful when [`busy`]
-    /// (self) is false. A latched violation is readable afterwards via
-    /// [`Self::take_violation`].
+    /// End-of-run conservation check; only meaningful when
+    /// [`Self::busy`] is false. A latched violation is readable
+    /// afterwards via [`Self::take_violation`].
     pub fn check_drained(&mut self) {
         self.auditor.check_drained();
     }

@@ -374,7 +374,7 @@ impl Wake for Topology {
 }
 
 /// Single cube: the bare device state, byte-identical to the
-/// pre-topology snapshot layout. Multi-cube: the [`Pool`], whose `cubes`
+/// pre-topology snapshot layout. Multi-cube: the `Pool`, whose `cubes`
 /// key distinguishes it (a device state has no such key), so restore can
 /// accept either.
 impl Serialize for Topology {

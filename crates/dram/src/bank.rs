@@ -1,15 +1,15 @@
-//! A single DRAM bank as a timing state machine.
+//! A single DRAM bank as a timing state machine, and the commands a vault
+//! controller sends it.
 //!
 //! The bank tracks the row currently latched in its row buffer plus a small
-//! set of "earliest next command" timestamps. The vault scheduler asks
-//! `can_*` before issuing; each issue method debits the relevant timing
-//! constraints (tRCD, tRP, tRAS, tRC, tWR, tRTP, tCCD) and returns when the
-//! operation's data is done. Violating a constraint is a simulator bug and
-//! panics in debug builds via the `can_*` assertions.
+//! set of "earliest next command" timestamps. [`Bank::ready_at`] says when
+//! a [`DramCmd`] may issue; [`Bank::apply`] debits the command's timing
+//! constraints (tRCD, tRP, tRAS, tRC, tWR, tRTP, tCCD, tRFC) and returns
+//! when its data is done. Applying a command before it is ready is a
+//! simulator bug and panics.
 
 use crate::timing::TimingCpu;
 use camps_types::clock::Cycle;
-use camps_types::wake::Wake;
 use serde::{Deserialize, Serialize};
 
 /// How an access relates to the bank's current row-buffer state.
@@ -23,6 +23,91 @@ pub enum AccessCategory {
     Miss,
     /// A *different* row is open; precharge + activate are required.
     Conflict,
+}
+
+/// Whose work a command does, where the vault's bookkeeping tells them
+/// apart: an ACT counts as a demand or writeback activation, and only a
+/// demand RD is charged as a read burst (a prefetch row copy is charged
+/// as a whole-row fetch when it lands).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cause {
+    /// A queued demand request.
+    Demand,
+    /// A whole-row copy into the prefetch buffer.
+    Prefetch,
+    /// A dirty prefetched row going back to its bank.
+    Writeback,
+}
+
+/// One DRAM command. `bank` indexes the vault's bank array; a [`Bank`]
+/// applying the command ignores it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DramCmd {
+    /// Activate: latch `row` into the idle bank's row buffer.
+    Act {
+        /// Target bank.
+        bank: u16,
+        /// Row to open.
+        row: u32,
+        /// Demand or writeback.
+        cause: Cause,
+    },
+    /// Precharge: close the open row.
+    Pre {
+        /// Target bank.
+        bank: u16,
+    },
+    /// One 64 B read burst from the open row. A row copy into the
+    /// prefetch buffer streams as a run of these, one bus slot each.
+    Rd {
+        /// Target bank.
+        bank: u16,
+        /// Demand burst or prefetch chunk.
+        cause: Cause,
+    },
+    /// One 64 B write burst into the open row.
+    Wr {
+        /// Target bank.
+        bank: u16,
+    },
+    /// A whole (dirty) row streamed from the prefetch buffer back into the
+    /// open row; write recovery applies before the row may close.
+    RowIn {
+        /// Target bank.
+        bank: u16,
+    },
+    /// TRR-style targeted refresh of hammered `row`'s two physical
+    /// neighbors: each gets a private activate + precharge cycle, stolen
+    /// from whatever the bank would have done next. The bank may keep
+    /// serving its *open* row (real TRR fires between row cycles) but
+    /// cannot open another for 2 × tRC. Purely additive to the ACT gate,
+    /// so it is always legal and can never wedge the state machine.
+    Trr {
+        /// Target bank.
+        bank: u16,
+        /// The hammered row.
+        row: u32,
+    },
+    /// All-bank refresh: every bank must be idle, and none may activate
+    /// for tRFC.
+    Ref,
+}
+
+impl DramCmd {
+    /// The bank this command addresses; `None` for the all-bank REF.
+    #[inline]
+    #[must_use]
+    pub fn bank(&self) -> Option<usize> {
+        match *self {
+            DramCmd::Act { bank, .. }
+            | DramCmd::Pre { bank }
+            | DramCmd::Rd { bank, .. }
+            | DramCmd::Wr { bank }
+            | DramCmd::RowIn { bank }
+            | DramCmd::Trr { bank, .. } => Some(usize::from(bank)),
+            DramCmd::Ref => None,
+        }
+    }
 }
 
 /// One DRAM bank.
@@ -72,156 +157,79 @@ impl Bank {
         self.open_row
     }
 
-    /// Classifies an access to `row` against the current row-buffer state.
+    /// Earliest cycle `cmd` may issue, or `None` while the row-buffer
+    /// state forbids it: ACT and REF need the bank idle; RD, WR, row-in
+    /// and PRE need a row latched. TRR is always legal.
+    #[inline]
     #[must_use]
-    pub fn categorize(&self, row: u32) -> AccessCategory {
-        match self.open_row {
-            Some(r) if r == row => AccessCategory::Hit,
-            Some(_) => AccessCategory::Conflict,
-            None => AccessCategory::Miss,
+    pub fn ready_at(&self, cmd: &DramCmd) -> Option<Cycle> {
+        let gate = match (cmd, self.open_row) {
+            (DramCmd::Act { .. }, None) => self.ready_act,
+            (DramCmd::Rd { .. } | DramCmd::Wr { .. } | DramCmd::RowIn { .. }, Some(_)) => {
+                self.ready_rdwr
+            }
+            (DramCmd::Pre { .. }, Some(_)) => self.ready_pre,
+            (DramCmd::Ref, None) => 0,
+            (DramCmd::Trr { .. }, _) => return Some(0),
+            _ => return None,
+        };
+        Some(gate.max(self.busy_until))
+    }
+
+    /// Applies `cmd` at `now` and returns the cycle its data is done: a
+    /// read burst has crossed the TSVs, a write burst or row-in has been
+    /// absorbed by the array. Commands that move no data return `now`.
+    ///
+    /// # Panics
+    /// Panics if `cmd` is not ready at `now` (see [`Bank::ready_at`]).
+    pub fn apply(&mut self, cmd: DramCmd, now: Cycle, t: &TimingCpu) -> Cycle {
+        assert!(
+            self.ready_at(&cmd).is_some_and(|at| at <= now),
+            "illegal {cmd:?} at cycle {now}: {self:?}"
+        );
+        match cmd {
+            DramCmd::Act { row, .. } => {
+                self.open_row = Some(row);
+                self.ready_rdwr = now + t.t_rcd;
+                self.ready_pre = now + t.t_ras;
+                self.ready_act = now + t.t_rc;
+                self.last_act_at = now;
+                now
+            }
+            DramCmd::Pre { .. } => {
+                self.open_cycles += now - self.last_act_at;
+                self.open_row = None;
+                self.ready_act = self.ready_act.max(now + t.t_rp);
+                now
+            }
+            DramCmd::Rd { .. } => {
+                self.ready_rdwr = self.ready_rdwr.max(now + t.t_ccd);
+                self.ready_pre = self.ready_pre.max(now + t.t_rtp);
+                now + t.t_cl + t.t_burst
+            }
+            DramCmd::Wr { .. } => {
+                self.ready_rdwr = self.ready_rdwr.max(now + t.t_ccd);
+                let data_done = now + t.t_wl + t.t_burst;
+                self.ready_pre = self.ready_pre.max(data_done + t.t_wr);
+                data_done
+            }
+            DramCmd::RowIn { .. } => {
+                let done = now + t.t_row_transfer;
+                self.busy_until = done;
+                self.ready_pre = self.ready_pre.max(done + t.t_wr);
+                self.ready_rdwr = self.ready_rdwr.max(done);
+                done
+            }
+            DramCmd::Trr { .. } => {
+                self.ready_act = self.ready_act.max(now + 2 * t.t_rc);
+                now
+            }
+            DramCmd::Ref => {
+                self.ready_act = self.ready_act.max(now + t.t_rfc);
+                self.busy_until = self.busy_until.max(now + t.t_rfc);
+                now
+            }
         }
-    }
-
-    /// True once an ACT may legally issue at `now` (bank must be idle).
-    #[must_use]
-    pub fn can_activate(&self, now: Cycle) -> bool {
-        self.open_row.is_none() && now >= self.ready_act && now >= self.busy_until
-    }
-
-    /// Earliest cycle at which [`Bank::can_activate`] could become true
-    /// (assuming the bank is already idle).
-    #[must_use]
-    pub fn activate_ready_at(&self) -> Cycle {
-        self.ready_act.max(self.busy_until)
-    }
-
-    /// Earliest cycle at which [`Bank::can_rdwr`] could become true
-    /// (assuming a row is latched).
-    #[must_use]
-    pub fn rdwr_ready_at(&self) -> Cycle {
-        self.ready_rdwr.max(self.busy_until)
-    }
-
-    /// Earliest cycle at which [`Bank::can_precharge`] could become true
-    /// (assuming a row is latched).
-    #[must_use]
-    pub fn precharge_ready_at(&self) -> Cycle {
-        self.ready_pre.max(self.busy_until)
-    }
-
-    /// The cycle the bank's array/TSV path frees up (row transfers,
-    /// refresh) — the gate behind [`Bank::can_refresh`] on an idle bank.
-    #[must_use]
-    pub fn busy_until(&self) -> Cycle {
-        self.busy_until
-    }
-
-    /// Issues ACT for `row` at `now`.
-    ///
-    /// # Panics
-    /// Panics if the activation is not legal at `now`.
-    pub fn activate(&mut self, now: Cycle, row: u32, t: &TimingCpu) {
-        assert!(
-            self.can_activate(now),
-            "illegal ACT at cycle {now}: {self:?}"
-        );
-        self.open_row = Some(row);
-        self.ready_rdwr = now + t.t_rcd;
-        self.ready_pre = now + t.t_ras;
-        self.ready_act = now + t.t_rc;
-        self.last_act_at = now;
-    }
-
-    /// True once a RD or WR burst may issue at `now`.
-    #[must_use]
-    pub fn can_rdwr(&self, now: Cycle) -> bool {
-        self.open_row.is_some() && now >= self.ready_rdwr && now >= self.busy_until
-    }
-
-    /// Issues a 64 B read burst at `now`; returns the cycle the data has
-    /// fully crossed the TSVs.
-    ///
-    /// # Panics
-    /// Panics if a burst is not legal at `now`.
-    pub fn read(&mut self, now: Cycle, t: &TimingCpu) -> Cycle {
-        assert!(self.can_rdwr(now), "illegal RD at cycle {now}: {self:?}");
-        self.ready_rdwr = self.ready_rdwr.max(now + t.t_ccd);
-        self.ready_pre = self.ready_pre.max(now + t.t_rtp);
-        now + t.t_cl + t.t_burst
-    }
-
-    /// Issues a 64 B write burst at `now`; returns the cycle the write has
-    /// been absorbed by the array.
-    ///
-    /// # Panics
-    /// Panics if a burst is not legal at `now`.
-    pub fn write(&mut self, now: Cycle, t: &TimingCpu) -> Cycle {
-        assert!(self.can_rdwr(now), "illegal WR at cycle {now}: {self:?}");
-        self.ready_rdwr = self.ready_rdwr.max(now + t.t_ccd);
-        let data_done = now + t.t_wl + t.t_burst;
-        self.ready_pre = self.ready_pre.max(data_done + t.t_wr);
-        data_done
-    }
-
-    /// True once PRE may issue at `now`.
-    #[must_use]
-    pub fn can_precharge(&self, now: Cycle) -> bool {
-        self.open_row.is_some() && now >= self.ready_pre && now >= self.busy_until
-    }
-
-    /// Issues PRE at `now`, closing the row.
-    ///
-    /// # Panics
-    /// Panics if precharge is not legal at `now`.
-    pub fn precharge(&mut self, now: Cycle, t: &TimingCpu) {
-        assert!(
-            self.can_precharge(now),
-            "illegal PRE at cycle {now}: {self:?}"
-        );
-        self.open_cycles += now - self.last_act_at;
-        self.open_row = None;
-        self.ready_act = self.ready_act.max(now + t.t_rp);
-    }
-
-    /// True once a whole-row transfer (bank ↔ prefetch buffer) may start.
-    /// Needs the row latched and the array past tRCD, like a burst.
-    #[must_use]
-    pub fn can_row_transfer(&self, now: Cycle) -> bool {
-        self.can_rdwr(now)
-    }
-
-    /// Streams the open row into the prefetch buffer at `now`; the bank is
-    /// busy until the returned cycle.
-    ///
-    /// # Panics
-    /// Panics if the transfer is not legal at `now`.
-    pub fn row_transfer_out(&mut self, now: Cycle, t: &TimingCpu) -> Cycle {
-        assert!(
-            self.can_row_transfer(now),
-            "illegal row transfer at {now}: {self:?}"
-        );
-        let done = now + t.t_row_transfer;
-        self.busy_until = done;
-        self.ready_pre = self.ready_pre.max(done);
-        self.ready_rdwr = self.ready_rdwr.max(done);
-        done
-    }
-
-    /// Streams a (dirty) row from the prefetch buffer back into the open
-    /// row at `now`; write recovery applies before the row may close.
-    ///
-    /// # Panics
-    /// Panics if the transfer is not legal at `now`.
-    pub fn row_transfer_in(&mut self, now: Cycle, t: &TimingCpu) -> Cycle {
-        assert!(
-            self.can_row_transfer(now),
-            "illegal row writeback at {now}: {self:?}"
-        );
-        let done = now + t.t_row_transfer;
-        self.busy_until = done;
-        self.ready_pre = self.ready_pre.max(done + t.t_wr);
-        self.ready_rdwr = self.ready_rdwr.max(done);
-        done
     }
 
     /// Cumulative cycles this bank has had a row open (completed intervals
@@ -229,70 +237,6 @@ impl Bank {
     #[must_use]
     pub fn open_cycles(&self) -> Cycle {
         self.open_cycles
-    }
-
-    /// Charges the bank a TRR-style targeted neighbor refresh: the two
-    /// physical neighbors of a hammered row are each given a private
-    /// activate + precharge cycle, stolen from whatever this bank would
-    /// have done next. Modeled as pushing the next ACT opportunity out by
-    /// 2 × tRC — the bank may keep serving its *open* row (real TRR fires
-    /// between row cycles), but cannot open another row until the
-    /// neighbor refreshes are done. Purely additive to `ready_act`, so it
-    /// can never violate a timing invariant or wedge the state machine:
-    /// waiting always re-enables activation.
-    pub fn trr_neighbor_refresh(&mut self, now: Cycle, t: &TimingCpu) {
-        self.ready_act = self.ready_act.max(now + 2 * t.t_rc);
-    }
-
-    /// True once a refresh may begin (bank idle, timing satisfied).
-    #[must_use]
-    pub fn can_refresh(&self, now: Cycle) -> bool {
-        self.open_row.is_none() && now >= self.busy_until
-    }
-
-    /// While the controller drains toward an all-bank refresh, the
-    /// earliest cycle this bank could move closer to
-    /// [`Bank::can_refresh`]: the precharge opportunity while a row is
-    /// still latched, or the end of array/TSV occupancy once idle. A
-    /// conservative lower bound, like every wake edge — the precharge
-    /// may additionally wait on the scheduler, never on time alone.
-    #[must_use]
-    pub fn refresh_drain_edge(&self) -> Cycle {
-        if self.open_row.is_some() {
-            self.precharge_ready_at()
-        } else {
-            self.busy_until
-        }
-    }
-
-    /// Applies an all-bank refresh starting at `now`: the bank is
-    /// unavailable for activation until `now + tRFC`.
-    ///
-    /// # Panics
-    /// Panics if the bank is not idle.
-    pub fn refresh(&mut self, now: Cycle, t: &TimingCpu) {
-        assert!(
-            self.can_refresh(now),
-            "illegal REF at cycle {now}: {self:?}"
-        );
-        self.ready_act = self.ready_act.max(now + t.t_rfc);
-        self.busy_until = self.busy_until.max(now + t.t_rfc);
-    }
-}
-
-impl Wake for Bank {
-    /// A bank is passive (commands arrive from the vault scheduler), so its
-    /// wake is the earliest strictly-future timing edge in the current
-    /// state: the next ACT opportunity while idle, or the next RD/WR/PRE
-    /// opportunity while a row is latched. Edges already in the past mean
-    /// the bank is gated only by the scheduler, not by time — `None`.
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let edge = if self.open_row.is_some() {
-            self.rdwr_ready_at().min(self.precharge_ready_at())
-        } else {
-            self.activate_ready_at()
-        };
-        (edge > now).then_some(edge)
     }
 }
 
@@ -302,38 +246,57 @@ mod tests {
     use camps_types::config::SystemConfig;
     use proptest::prelude::*;
 
+    const ACT: DramCmd = DramCmd::Act {
+        bank: 0,
+        row: 1,
+        cause: Cause::Demand,
+    };
+    const PRE: DramCmd = DramCmd::Pre { bank: 0 };
+    const RD: DramCmd = DramCmd::Rd {
+        bank: 0,
+        cause: Cause::Demand,
+    };
+    const WR: DramCmd = DramCmd::Wr { bank: 0 };
+
     fn t() -> TimingCpu {
         let c = SystemConfig::paper_default();
         TimingCpu::from_config(&c.dram, c.cpu.freq_hz)
+    }
+
+    /// True once `cmd` may issue at `now`.
+    fn ready(b: &Bank, cmd: DramCmd, now: Cycle) -> bool {
+        b.ready_at(&cmd).is_some_and(|at| at <= now)
     }
 
     #[test]
     fn fresh_bank_is_idle_and_activatable() {
         let b = Bank::new();
         assert_eq!(b.open_row(), None);
-        assert!(b.can_activate(0));
-        assert!(!b.can_rdwr(0));
-        assert!(!b.can_precharge(0));
+        assert_eq!(b.ready_at(&ACT), Some(0));
+        assert_eq!(b.ready_at(&RD), None);
+        assert_eq!(b.ready_at(&PRE), None);
+        assert_eq!(b.ready_at(&DramCmd::RowIn { bank: 0 }), None);
     }
 
     #[test]
-    fn categorize_matches_state() {
+    fn row_buffer_state_forbids_commands() {
         let tm = t();
         let mut b = Bank::new();
-        assert_eq!(b.categorize(5), AccessCategory::Miss);
-        b.activate(0, 5, &tm);
-        assert_eq!(b.categorize(5), AccessCategory::Hit);
-        assert_eq!(b.categorize(6), AccessCategory::Conflict);
+        b.apply(ACT, 0, &tm);
+        assert_eq!(b.open_row(), Some(1));
+        assert_eq!(b.ready_at(&ACT), None, "ACT needs an idle bank");
+        assert_eq!(b.ready_at(&DramCmd::Ref), None, "REF needs an idle bank");
+        assert_eq!(b.ready_at(&DramCmd::Trr { bank: 0, row: 1 }), Some(0));
     }
 
     #[test]
     fn trcd_gates_read_after_activate() {
         let tm = t();
         let mut b = Bank::new();
-        b.activate(0, 1, &tm);
-        assert!(!b.can_rdwr(tm.t_rcd - 1));
-        assert!(b.can_rdwr(tm.t_rcd));
-        let done = b.read(tm.t_rcd, &tm);
+        b.apply(ACT, 0, &tm);
+        assert!(!ready(&b, RD, tm.t_rcd - 1));
+        assert!(ready(&b, RD, tm.t_rcd));
+        let done = b.apply(RD, tm.t_rcd, &tm);
         assert_eq!(done, tm.t_rcd + tm.t_cl + tm.t_burst);
     }
 
@@ -341,174 +304,155 @@ mod tests {
     fn tras_gates_precharge() {
         let tm = t();
         let mut b = Bank::new();
-        b.activate(0, 1, &tm);
-        assert!(!b.can_precharge(tm.t_ras - 1));
-        assert!(b.can_precharge(tm.t_ras));
+        b.apply(ACT, 0, &tm);
+        assert!(!ready(&b, PRE, tm.t_ras - 1));
+        assert!(ready(&b, PRE, tm.t_ras));
     }
 
     #[test]
     fn trp_gates_next_activate() {
         let tm = t();
         let mut b = Bank::new();
-        b.activate(0, 1, &tm);
-        b.precharge(tm.t_ras, &tm);
-        assert!(!b.can_activate(tm.t_ras + tm.t_rp - 1));
-        assert!(b.can_activate(tm.t_ras + tm.t_rp));
+        b.apply(ACT, 0, &tm);
+        b.apply(PRE, tm.t_ras, &tm);
+        assert!(!ready(&b, ACT, tm.t_ras + tm.t_rp - 1));
+        assert!(ready(&b, ACT, tm.t_ras + tm.t_rp));
     }
 
     #[test]
     fn trc_gates_back_to_back_activates() {
         let tm = t();
         let mut b = Bank::new();
-        b.activate(0, 1, &tm);
+        b.apply(ACT, 0, &tm);
         // Precharge as early as possible (tRAS), then the next ACT is still
         // held until tRC even though tRAS + tRP < tRC could permit earlier.
-        b.precharge(tm.t_ras, &tm);
-        let earliest = b.activate_ready_at();
+        b.apply(PRE, tm.t_ras, &tm);
+        let earliest = b.ready_at(&ACT).unwrap();
         assert_eq!(earliest, tm.t_rc.max(tm.t_ras + tm.t_rp));
-        assert!(b.can_activate(earliest));
+        assert!(ready(&b, ACT, earliest));
     }
 
     #[test]
     fn read_extends_precharge_by_trtp() {
         let tm = t();
         let mut b = Bank::new();
-        b.activate(0, 1, &tm);
+        b.apply(ACT, 0, &tm);
         // A read late in the row's life pushes PRE past tRAS.
         let rd_at = tm.t_ras;
-        b.read(rd_at, &tm);
-        assert!(!b.can_precharge(rd_at));
-        assert!(b.can_precharge(rd_at + tm.t_rtp));
+        b.apply(RD, rd_at, &tm);
+        assert!(!ready(&b, PRE, rd_at));
+        assert!(ready(&b, PRE, rd_at + tm.t_rtp));
     }
 
     #[test]
     fn write_recovery_gates_precharge() {
         let tm = t();
         let mut b = Bank::new();
-        b.activate(0, 1, &tm);
-        let done = b.write(tm.t_rcd, &tm);
+        b.apply(ACT, 0, &tm);
+        let done = b.apply(WR, tm.t_rcd, &tm);
         assert_eq!(done, tm.t_rcd + tm.t_wl + tm.t_burst);
-        assert!(!b.can_precharge(done + tm.t_wr - 1));
-        assert!(b.can_precharge(done + tm.t_wr));
+        assert!(!ready(&b, PRE, done + tm.t_wr - 1));
+        assert!(ready(&b, PRE, done + tm.t_wr));
     }
 
     #[test]
     fn tccd_spaces_bursts() {
         let tm = t();
         let mut b = Bank::new();
-        b.activate(0, 1, &tm);
-        b.read(tm.t_rcd, &tm);
-        assert!(!b.can_rdwr(tm.t_rcd + tm.t_ccd - 1));
-        assert!(b.can_rdwr(tm.t_rcd + tm.t_ccd));
+        b.apply(ACT, 0, &tm);
+        b.apply(RD, tm.t_rcd, &tm);
+        assert!(!ready(&b, WR, tm.t_rcd + tm.t_ccd - 1));
+        assert!(ready(&b, WR, tm.t_rcd + tm.t_ccd));
     }
 
     #[test]
-    fn row_transfer_occupies_bank() {
+    fn row_writeback_occupies_bank_and_needs_write_recovery() {
         let tm = t();
         let mut b = Bank::new();
-        b.activate(0, 1, &tm);
-        let done = b.row_transfer_out(tm.t_rcd, &tm);
+        b.apply(ACT, 0, &tm);
+        let done = b.apply(DramCmd::RowIn { bank: 0 }, tm.t_rcd, &tm);
         assert_eq!(done, tm.t_rcd + tm.t_row_transfer);
-        assert!(!b.can_rdwr(done - 1));
-        assert!(!b.can_precharge(done - 1));
-        assert!(b.can_precharge(done.max(tm.t_ras)));
-    }
-
-    #[test]
-    fn row_writeback_needs_write_recovery() {
-        let tm = t();
-        let mut b = Bank::new();
-        b.activate(0, 1, &tm);
-        let done = b.row_transfer_in(tm.t_rcd, &tm);
-        assert!(!b.can_precharge(done + tm.t_wr - 1));
-        assert!(b.can_precharge((done + tm.t_wr).max(tm.t_ras)));
+        assert!(!ready(&b, RD, done - 1));
+        assert!(ready(&b, RD, done));
+        assert!(!ready(&b, PRE, done + tm.t_wr - 1));
+        assert!(ready(&b, PRE, (done + tm.t_wr).max(tm.t_ras)));
     }
 
     #[test]
     fn open_cycles_accumulate() {
         let tm = t();
         let mut b = Bank::new();
-        b.activate(0, 1, &tm);
-        b.precharge(tm.t_ras, &tm);
+        b.apply(ACT, 0, &tm);
+        b.apply(PRE, tm.t_ras, &tm);
         assert_eq!(b.open_cycles(), tm.t_ras);
-    }
-
-    #[test]
-    fn refresh_drain_edge_tracks_state() {
-        let tm = t();
-        let mut b = Bank::new();
-        assert_eq!(b.refresh_drain_edge(), b.busy_until());
-        b.activate(0, 1, &tm);
-        assert_eq!(b.refresh_drain_edge(), b.precharge_ready_at());
-        b.precharge(tm.t_ras, &tm);
-        assert_eq!(b.refresh_drain_edge(), b.busy_until());
     }
 
     #[test]
     fn refresh_blocks_activation_for_trfc() {
         let tm = t();
         let mut b = Bank::new();
-        assert!(b.can_refresh(0));
-        b.refresh(0, &tm);
-        assert!(!b.can_activate(tm.t_rfc - 1));
-        assert!(b.can_activate(tm.t_rfc));
+        assert!(ready(&b, DramCmd::Ref, 0));
+        b.apply(DramCmd::Ref, 0, &tm);
+        assert!(!ready(&b, ACT, tm.t_rfc - 1));
+        assert!(ready(&b, ACT, tm.t_rfc));
+        assert!(!ready(&b, DramCmd::Ref, tm.t_rfc - 1));
     }
 
     #[test]
     fn trr_penalty_delays_the_next_activation_only() {
         let tm = t();
         let mut b = Bank::new();
-        b.activate(0, 1, &tm);
-        b.trr_neighbor_refresh(tm.t_rcd, &tm);
+        b.apply(ACT, 0, &tm);
+        b.apply(DramCmd::Trr { bank: 0, row: 1 }, tm.t_rcd, &tm);
         // The open row keeps serving — bursts are unaffected.
-        assert!(b.can_rdwr(tm.t_rcd));
-        b.precharge(tm.t_ras, &tm);
+        assert!(ready(&b, RD, tm.t_rcd));
+        b.apply(PRE, tm.t_ras, &tm);
         // …but the next ACT waits out the two stolen neighbor row cycles.
         let penalty_end = tm.t_rcd + 2 * tm.t_rc;
-        assert!(!b.can_activate(penalty_end - 1));
-        assert!(b.can_activate(penalty_end));
+        assert!(!ready(&b, ACT, penalty_end - 1));
+        assert!(ready(&b, ACT, penalty_end));
     }
 
     #[test]
-    #[should_panic(expected = "illegal REF")]
+    #[should_panic(expected = "illegal Ref")]
     fn refresh_on_open_bank_panics() {
         let tm = t();
         let mut b = Bank::new();
-        b.activate(0, 1, &tm);
-        b.refresh(tm.t_ras, &tm);
+        b.apply(ACT, 0, &tm);
+        b.apply(DramCmd::Ref, tm.t_ras, &tm);
     }
 
     #[test]
-    #[should_panic(expected = "illegal RD")]
+    #[should_panic(expected = "illegal Rd")]
     fn premature_read_panics() {
         let tm = t();
         let mut b = Bank::new();
-        b.activate(0, 1, &tm);
-        let _ = b.read(1, &tm);
+        b.apply(ACT, 0, &tm);
+        let _ = b.apply(RD, 1, &tm);
     }
 
     #[test]
-    #[should_panic(expected = "illegal ACT")]
+    #[should_panic(expected = "illegal Act")]
     fn activate_on_open_bank_panics() {
         let tm = t();
         let mut b = Bank::new();
-        b.activate(0, 1, &tm);
-        b.activate(tm.t_rc, 2, &tm);
+        b.apply(ACT, 0, &tm);
+        b.apply(ACT, tm.t_rc, &tm);
     }
 
     #[test]
     fn refresh_after_precharge_respects_trp() {
         let tm = t();
         let mut b = Bank::new();
-        b.activate(0, 1, &tm);
-        b.precharge(tm.t_ras, &tm);
+        b.apply(ACT, 0, &tm);
+        b.apply(PRE, tm.t_ras, &tm);
         // Refresh may start right after PRE (bank idle), and the next ACT
         // honors both tRP and tRFC.
-        assert!(b.can_refresh(tm.t_ras));
-        b.refresh(tm.t_ras, &tm);
-        let ready = b.activate_ready_at();
-        assert!(ready >= tm.t_ras + tm.t_rfc);
-        assert!(b.can_activate(ready));
+        assert!(ready(&b, DramCmd::Ref, tm.t_ras));
+        b.apply(DramCmd::Ref, tm.t_ras, &tm);
+        let at = b.ready_at(&ACT).unwrap();
+        assert!(at >= tm.t_ras + tm.t_rfc);
+        assert!(ready(&b, ACT, at));
     }
 
     // Drive a bank with a random but *legal* command sequence and check
@@ -521,29 +465,19 @@ mod tests {
             let mut b = Bank::new();
             let mut now: Cycle = 0;
             for op in ops {
-                // Advance until the chosen op (or a fallback) is legal.
+                let cmd = [ACT, RD, WR, PRE][usize::from(op)];
+                // Advance until the chosen op is legal; RD/WR/PRE while
+                // idle need an ACT first, and an ACT while open a PRE.
                 for _ in 0..10_000 {
-                    let acted = match op {
-                        0 if b.can_activate(now) => { b.activate(now, 7, &tm); true }
-                        1 if b.can_rdwr(now) => { b.read(now, &tm); true }
-                        2 if b.can_rdwr(now) => { b.write(now, &tm); true }
-                        3 if b.can_precharge(now) => { b.precharge(now, &tm); true }
-                        // If the op can never become legal in this state
-                        // (e.g. RD while idle), switch state legally.
-                        0 | 3 if b.open_row().is_none() && op == 3 => {
-                            if b.can_activate(now) { b.activate(now, 7, &tm); }
-                            false
-                        }
-                        _ => false,
-                    };
-                    if acted {
+                    if ready(&b, cmd, now) {
+                        b.apply(cmd, now, &tm);
                         break;
                     }
-                    now += 1;
-                    // RD/WR/PRE while idle require an ACT first.
-                    if b.open_row().is_none() && matches!(op, 1..=3) && b.can_activate(now) {
-                        b.activate(now, 7, &tm);
+                    let path = if b.open_row().is_none() { ACT } else { PRE };
+                    if b.ready_at(&cmd).is_none() && ready(&b, path, now) {
+                        b.apply(path, now, &tm);
                     }
+                    now += 1;
                 }
             }
             // After any sequence the bank can always be returned to idle.
@@ -551,8 +485,8 @@ mod tests {
                 if b.open_row().is_none() {
                     break;
                 }
-                if b.can_precharge(now) {
-                    b.precharge(now, &tm);
+                if ready(&b, PRE, now) {
+                    b.apply(PRE, now, &tm);
                 }
                 now += 1;
             }

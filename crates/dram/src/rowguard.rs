@@ -10,8 +10,8 @@
 //!
 //! The tracker is pure observation — it never touches bank timing. The
 //! mitigation *decision* (comparing a count against a threshold and
-//! charging the bank a neighbor-refresh penalty via
-//! [`Bank::trr_neighbor_refresh`](crate::Bank::trr_neighbor_refresh))
+//! charging the bank a neighbor-refresh penalty with a
+//! [`DramCmd::Trr`](crate::DramCmd::Trr))
 //! belongs to the vault controller, which owns the bank array and the
 //! configuration knob.
 

@@ -6,7 +6,6 @@
 //! land inside any tFAW window (a power-delivery limit).
 
 use camps_types::clock::Cycle;
-use camps_types::wake::Wake;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -31,12 +30,6 @@ impl ActWindow {
         }
     }
 
-    /// True if an ACT may issue anywhere in this vault at `now`.
-    #[must_use]
-    pub fn can_activate(&self, now: Cycle) -> bool {
-        now >= self.earliest_activate()
-    }
-
     /// Earliest cycle at which the vault-level constraints permit an ACT.
     #[must_use]
     pub fn earliest_activate(&self) -> Cycle {
@@ -55,7 +48,7 @@ impl ActWindow {
     /// Panics if the ACT violates tRRD/tFAW (simulator bug).
     pub fn record(&mut self, now: Cycle) {
         assert!(
-            self.can_activate(now),
+            now >= self.earliest_activate(),
             "ACT at {now} violates tRRD/tFAW: {self:?}"
         );
         self.last_act = Some(now);
@@ -63,14 +56,6 @@ impl ActWindow {
             self.recent.pop_front();
         }
         self.recent.push_back(now);
-    }
-}
-
-impl Wake for ActWindow {
-    /// The next cycle tRRD/tFAW stop gating an ACT, if they gate one now.
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let at = self.earliest_activate();
-        (at > now).then_some(at)
     }
 }
 
@@ -82,7 +67,6 @@ mod tests {
     #[test]
     fn fresh_window_allows_immediate_act() {
         let w = ActWindow::new(19, 90);
-        assert!(w.can_activate(0));
         assert_eq!(w.earliest_activate(), 0);
     }
 
@@ -90,8 +74,7 @@ mod tests {
     fn trrd_spaces_consecutive_acts() {
         let mut w = ActWindow::new(19, 90);
         w.record(0);
-        assert!(!w.can_activate(18));
-        assert!(w.can_activate(19));
+        assert_eq!(w.earliest_activate(), 19);
     }
 
     #[test]
@@ -102,7 +85,6 @@ mod tests {
         }
         // Fifth ACT must wait for the first to age out of the tFAW window.
         assert_eq!(w.earliest_activate(), 100);
-        assert!(!w.can_activate(99));
         w.record(100);
         // Now the window holds ACTs at 10, 20, 30, 100; next earliest is
         // max(100 + tRRD, 10 + tFAW) = 110.

@@ -9,7 +9,6 @@
 //! contention that matters at this fan-out: hot vaults backing up.
 
 use camps_types::clock::Cycle;
-use camps_types::wake::Wake;
 use serde::{Deserialize, Serialize};
 
 /// The crossbar switch.
@@ -60,15 +59,6 @@ impl Crossbar {
     #[must_use]
     pub fn stats(&self) -> (u64, u64) {
         (self.routed, self.contended)
-    }
-}
-
-impl Wake for Crossbar {
-    /// The crossbar holds no pending work of its own — routing happens
-    /// synchronously inside [`Crossbar::route`] and in-flight packets live
-    /// in the cube's delivery heaps. It never needs a wake.
-    fn next_event(&self, _now: Cycle) -> Option<Cycle> {
-        None
     }
 }
 

@@ -16,7 +16,6 @@
 
 use camps_types::clock::{serialization_cycles, Cycle};
 use camps_types::config::{LinkConfig, TopologyConfig, TopologyKind};
-use camps_types::wake::Wake;
 use serde::{Deserialize, Serialize};
 
 /// One direction of one inter-cube edge: a serializer plus fixed
@@ -66,13 +65,6 @@ impl HopLink {
     #[must_use]
     pub fn stats(&self) -> (u64, u64, Cycle) {
         (self.packets, self.flits, self.busy_cycles)
-    }
-}
-
-impl Wake for HopLink {
-    /// Hops are passive; the only timing edge is the serializer freeing.
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        (self.busy_until > now).then_some(self.busy_until)
     }
 }
 
@@ -186,17 +178,6 @@ impl CubeFabric {
     }
 }
 
-impl Wake for CubeFabric {
-    /// Earliest serializer-free edge across the fabric.
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        self.req_hops
-            .iter()
-            .chain(&self.resp_hops)
-            .filter_map(|l| l.next_event(now))
-            .min()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,7 +203,6 @@ mod tests {
             assert_eq!(f.send_request(0, 1, 123), 123);
             assert_eq!(f.send_response(0, 5, 456), 456);
             assert_eq!(f.stats(), (0, 0, 0));
-            assert_eq!(f.next_event(0), None);
         }
     }
 
@@ -270,17 +250,6 @@ mod tests {
         // Full duplex: the response does not queue behind the request.
         assert_eq!(req, 12);
         assert_eq!(resp, 20);
-    }
-
-    #[test]
-    fn wake_reports_earliest_busy_edge() {
-        let mut f = fabric(3, TopologyKind::Chain);
-        assert_eq!(f.next_event(0), None);
-        f.send_request(2, 5, 0);
-        // Edge 0 serializer frees at 10, edge 1 at 30.
-        assert_eq!(f.next_event(0), Some(10));
-        assert_eq!(f.next_event(15), Some(30));
-        assert_eq!(f.next_event(30), None);
     }
 
     #[test]

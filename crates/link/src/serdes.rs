@@ -11,7 +11,6 @@
 use crate::packet::Packet;
 use camps_types::clock::{serialization_cycles, Cycle};
 use camps_types::config::LinkConfig;
-use camps_types::wake::Wake;
 use serde::{Deserialize, Serialize};
 
 /// One direction of one serial link.
@@ -155,15 +154,6 @@ impl SerialLink {
     }
 }
 
-impl Wake for SerialLink {
-    /// Links are passive: state only changes when a packet is sent on them
-    /// or tokens are released, both driven by their owner. The only timing
-    /// edge is the serializer freeing up.
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        (self.busy_until > now).then_some(self.busy_until)
-    }
-}
-
 /// The cube's full set of links for one direction, with least-loaded
 /// selection.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -233,13 +223,6 @@ impl LinkSet {
     #[must_use]
     pub fn tokens_free(&self) -> Vec<u32> {
         self.links.iter().map(SerialLink::tokens_free).collect()
-    }
-}
-
-impl Wake for LinkSet {
-    /// Earliest serializer-free edge across the set.
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        self.links.iter().filter_map(|l| l.next_event(now)).min()
     }
 }
 

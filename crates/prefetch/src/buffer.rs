@@ -299,16 +299,6 @@ impl PrefetchBuffer {
     }
 }
 
-impl camps_types::wake::Wake for PrefetchBuffer {
-    /// The buffer is purely reactive SRAM state: lookups, fills, and
-    /// evictions all happen inside vault-controller calls. It never wakes
-    /// on its own — but note [`PrefetchBuffer::access`] counts lookups, so
-    /// owners must tick every cycle while demand retries are pending.
-    fn next_event(&self, _now: Cycle) -> Option<Cycle> {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

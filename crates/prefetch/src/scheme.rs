@@ -10,7 +10,6 @@
 use crate::replacement::ReplacementKind;
 use crate::schemes::{base::Base, base_hit::BaseHit, camps::Camps, mmd::Mmd, none::Nopf};
 use camps_types::addr::RowKey;
-use camps_types::clock::Cycle;
 use camps_types::config::PrefetchBufferConfig;
 use serde::value::Value;
 use serde::{de, Deserialize, Serialize};
@@ -66,15 +65,6 @@ pub trait PrefetchScheme: Send {
     /// access touched it while resident.
     fn on_buffer_evicted(&mut self, key: RowKey, referenced: bool) {
         let _ = (key, referenced);
-    }
-
-    /// Earliest cycle strictly after `now` at which the scheme needs a
-    /// tick on its own (the [`camps_types::wake::Wake`] contract). Schemes
-    /// are event-shaped — they act only when the vault controller calls
-    /// them — so the default is never.
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let _ = now;
-        None
     }
 
     /// Diagnostic one-liner of internal state (adaptive thresholds etc.).

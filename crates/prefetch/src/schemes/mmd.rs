@@ -1,7 +1,7 @@
 //! MMD — usefulness-adaptive memory-side prefetching.
 //!
 //! Reconstruction of the comparator the paper calls MMD ("Meeting Midway",
-//! Yedlapalli et al., PACT 2013 [8]), from the paper's description: "an
+//! Yedlapalli et al., PACT 2013 \[8\]), from the paper's description: "an
 //! existing memory-side prefetching scheme that dynamically adjusts the
 //! prefetch degree based on the usefulness of prefetched data and uses
 //! traditional LRU policy for prefetch buffer management".

@@ -164,7 +164,7 @@ impl DramTimingConfig {
 /// Memory-access scheduling algorithm used by each vault controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SchedulerKind {
-    /// First-ready, first-come-first-serve (Table I; Rixner et al. [31]).
+    /// First-ready, first-come-first-serve (Table I; Rixner et al. \[31\]).
     FrFcfs,
     /// Strict arrival order — ablation baseline.
     Fcfs,
@@ -213,7 +213,7 @@ pub struct LinkConfig {
     pub xbar_cycles: Cycle,
     /// Link-layer flow-control tokens per link (max FLITs in flight).
     pub tokens: u32,
-    /// Power management (Ahn et al. [13]): a link direction with no
+    /// Power management (Ahn et al. \[13\]): a link direction with no
     /// traffic for this many CPU cycles drops into a low-power state and
     /// pays [`LinkConfig::wake_cycles`] on the next packet. 0 disables.
     #[serde(default)]
@@ -286,7 +286,7 @@ pub struct EnergyConfig {
     pub background_mw_per_vault: f64,
 }
 
-/// A conservative core-side next-line prefetcher ([13]'s two-level
+/// A conservative core-side next-line prefetcher (\[13\]'s two-level
 /// prefetching companion: a core-side prefetcher working *with* the
 /// memory-side one). On an L3 demand miss to block `B`, also fetch
 /// `B + degree` blocks into the shared LLC.

@@ -2,7 +2,7 @@
 
 use crate::queue::{queued_same_row, Queued};
 use crate::stats::VaultStats;
-use camps_dram::bank::{AccessCategory, Bank};
+use camps_dram::bank::{AccessCategory, Bank, Cause, DramCmd};
 use camps_dram::rowguard::RowGuard;
 use camps_dram::timing::TimingCpu;
 use camps_dram::window::ActWindow;
@@ -519,9 +519,8 @@ impl VaultController {
                 self.fetches.swap_remove(i);
                 continue;
             }
-            let bank_idx = usize::from(job.key.bank);
-            let bank = &mut self.banks[bank_idx];
-            if bank.open_row() != Some(job.key.row) {
+            let cmd = self.next_cmd(job.key, Cause::Prefetch, AccessKind::Read);
+            if !matches!(cmd, DramCmd::Rd { .. }) {
                 // The row closed before the transfer could start (conflict
                 // precharge won the race) — abandon the prefetch.
                 self.stats.prefetches_dropped.inc();
@@ -530,10 +529,8 @@ impl VaultController {
             }
             // Stream one bus slot of the row-wide copy; demand bursts
             // interleave because the scheduler ran first this cycle.
-            if now >= self.bus_free && bank.can_rdwr(now) {
-                let data_done = bank.read(now, &self.timing);
-                self.bus_free = now + self.timing.t_burst;
-                self.stats.bus_busy_cycles.add(self.timing.t_burst);
+            if self.can_issue(&cmd, now) {
+                let data_done = self.issue(cmd, now);
                 let job = &mut self.fetches[i];
                 job.chunks_left -= 1;
                 if job.chunks_left == 0 {
@@ -557,9 +554,11 @@ impl VaultController {
             if self.fetch_pending_on(bank_idx) {
                 continue; // the fetch needs the row; close afterwards
             }
-            if self.banks[bank_idx].can_precharge(now) {
-                self.banks[bank_idx].precharge(now, &self.timing);
-                self.stats.energy.precharges += 1;
+            let pre = DramCmd::Pre {
+                bank: bank_idx as u16,
+            };
+            if self.can_issue(&pre, now) {
+                self.issue(pre, now);
                 self.want_precharge[bank_idx] = false;
             }
         }
@@ -585,15 +584,8 @@ impl VaultController {
                 self.want_precharge[idx] = true;
             }
         }
-        if self.banks.iter().all(|b| b.can_refresh(now)) {
-            for b in &mut self.banks {
-                b.refresh(now, &self.timing);
-            }
-            self.stats.energy.refreshes += 1;
-            self.stats.refreshes.inc();
-            // The all-bank refresh rewrote every row: the RowHammer
-            // window restarts.
-            self.rowguard.on_refresh();
+        if self.can_issue(&DramCmd::Ref, now) {
+            self.issue(DramCmd::Ref, now);
             self.refresh_pending = false;
             self.next_refresh += self.timing.t_refi;
         }
@@ -610,23 +602,132 @@ impl VaultController {
             .is_some_and(|w| usize::from(w.key.bank) == bank_idx)
     }
 
-    /// RowHammer accounting shared by every ACT site: counts the row's
-    /// activation inside the current refresh window, tracks the worst
-    /// per-window count ever seen, and — only when the mitigation knob is
-    /// on — charges the bank a TRR neighbor-refresh penalty once the row
-    /// crosses the threshold. With mitigation off this touches nothing
-    /// but the tracker and statistics, so paper results are unchanged.
-    fn note_activation(&mut self, bank: u16, row: u32, now: Cycle) {
-        let count = self.rowguard.record(bank, row);
-        self.stats.worst_row_window_acts = self.stats.worst_row_window_acts.max(u64::from(count));
-        if self.mitigate && count >= self.mitigate_threshold {
-            self.banks[usize::from(bank)].trr_neighbor_refresh(now, &self.timing);
-            // Restart the row's count so the threshold meters mitigation
-            // intervals instead of firing on every subsequent ACT.
-            self.rowguard.reset_row(bank, row);
-            self.stats.mitigations.inc();
-            self.obs.mark("rowguard_mitigation", now);
+    /// The command `key` needs next on behalf of `cause`: ACT while the
+    /// bank is idle, PRE while another row occupies it, and once the row
+    /// is open its column command — a demand RD or WR (by `kind`), a
+    /// prefetch RD chunk, or a writeback row-in. The scheduler, the fetch
+    /// and writeback engines and the wake all read bank state through it.
+    fn next_cmd(&self, key: RowKey, cause: Cause, kind: AccessKind) -> DramCmd {
+        let bank = key.bank;
+        match self.banks[usize::from(bank)].open_row() {
+            None => DramCmd::Act {
+                bank,
+                row: key.row,
+                cause,
+            },
+            Some(r) if r != key.row => DramCmd::Pre { bank },
+            Some(_) => match (cause, kind) {
+                (Cause::Writeback, _) => DramCmd::RowIn { bank },
+                (_, AccessKind::Write) => DramCmd::Wr { bank },
+                (_, AccessKind::Read) => DramCmd::Rd { bank, cause },
+            },
         }
+    }
+
+    /// What queued demand request `q` needs next.
+    fn demand_cmd(&self, q: &Queued) -> DramCmd {
+        self.next_cmd(q.decoded.row_key(), Cause::Demand, q.req.kind)
+    }
+
+    /// Earliest cycle `cmd` may issue: the bank's own readiness, gated by
+    /// the vault's shared TSV bus for data commands and by tRRD/tFAW for
+    /// ACT. `None` while the row-buffer state forbids it (the all-bank
+    /// REF needs every bank idle).
+    fn ready_at(&self, cmd: &DramCmd) -> Option<Cycle> {
+        let Some(bank) = cmd.bank() else {
+            return self
+                .banks
+                .iter()
+                .try_fold(0, |at, b| Some(at.max(b.ready_at(cmd)?)));
+        };
+        let at = self.banks[bank].ready_at(cmd)?;
+        Some(match cmd {
+            DramCmd::Act { .. } => at.max(self.window.earliest_activate()),
+            DramCmd::Rd { .. } | DramCmd::Wr { .. } | DramCmd::RowIn { .. } => {
+                at.max(self.bus_free)
+            }
+            _ => at,
+        })
+    }
+
+    /// True once `cmd` may issue at `now`.
+    fn can_issue(&self, cmd: &DramCmd, now: Cycle) -> bool {
+        self.ready_at(cmd).is_some_and(|at| at <= now)
+    }
+
+    /// Issues `cmd` at `now`: the one place bank state changes. Does all
+    /// of the command's bookkeeping — TSV bus occupancy, energy, the
+    /// activation window, per-cause activation counts, RowHammer tracking
+    /// and refresh statistics — and returns when its data is done (see
+    /// [`Bank::apply`]).
+    fn issue(&mut self, cmd: DramCmd, now: Cycle) -> Cycle {
+        let t = self.timing;
+        let done = match cmd.bank() {
+            Some(bank) => self.banks[bank].apply(cmd, now, &t),
+            None => {
+                for b in &mut self.banks {
+                    b.apply(cmd, now, &t);
+                }
+                now
+            }
+        };
+        match cmd {
+            DramCmd::Act { bank, row, cause } => {
+                self.window.record(now);
+                self.stats.energy.activates += 1;
+                match cause {
+                    Cause::Demand => self.stats.demand_activations.inc(),
+                    Cause::Prefetch => self.stats.prefetch_activations.inc(),
+                    Cause::Writeback => self.stats.writeback_activations.inc(),
+                }
+                // RowHammer accounting: the row's activations inside the
+                // current refresh window and the worst count ever seen.
+                // Only with the mitigation knob on does a row crossing the
+                // threshold cost its bank a TRR, so paper results are
+                // unchanged by default.
+                let count = self.rowguard.record(bank, row);
+                self.stats.worst_row_window_acts =
+                    self.stats.worst_row_window_acts.max(u64::from(count));
+                if self.mitigate && count >= self.mitigate_threshold {
+                    self.issue(DramCmd::Trr { bank, row }, now);
+                }
+            }
+            DramCmd::Pre { .. } => self.stats.energy.precharges += 1,
+            DramCmd::Rd { cause, .. } => {
+                // The TSV data bus carries this burst t_CL later; bursts
+                // pipeline behind CAS, so the bus slot is one t_BURST.
+                self.bus_free = now + t.t_burst;
+                self.stats.bus_busy_cycles.add(t.t_burst);
+                if cause == Cause::Demand {
+                    self.stats.energy.read_bursts += 1;
+                }
+            }
+            DramCmd::Wr { .. } => {
+                self.bus_free = now + t.t_burst;
+                self.stats.bus_busy_cycles.add(t.t_burst);
+                self.stats.energy.write_bursts += 1;
+            }
+            DramCmd::RowIn { .. } => {
+                self.bus_free = done;
+                self.stats.bus_busy_cycles.add(t.t_row_transfer);
+            }
+            DramCmd::Trr { bank, row } => {
+                // Restart the row's count so the threshold meters
+                // mitigation intervals instead of firing on every
+                // subsequent ACT.
+                self.rowguard.reset_row(bank, row);
+                self.stats.mitigations.inc();
+                self.obs.mark("rowguard_mitigation", now);
+            }
+            DramCmd::Ref => {
+                self.stats.energy.refreshes += 1;
+                self.stats.refreshes.inc();
+                // The all-bank refresh rewrote every row: the RowHammer
+                // window restarts.
+                self.rowguard.on_refresh();
+            }
+        }
+        done
     }
 
     /// Issues at most one DRAM command (RD/WR, ACT, or PRE) per cycle.
@@ -649,41 +750,42 @@ impl VaultController {
         let _ = self.try_issue_precharge(now, use_writes);
     }
 
-    /// Indices eligible for scheduling, in age order. FCFS restricts the
-    /// scheduler's view to the queue head.
-    fn candidates(&self, use_writes: bool) -> std::ops::Range<usize> {
-        let len = if use_writes {
-            self.write_q.len()
+    /// The first candidate, in age order, whose next command `pick`
+    /// accepts. FCFS restricts the scheduler's view to the queue head.
+    fn first_candidate(
+        &self,
+        use_writes: bool,
+        pick: impl Fn(&Queued, DramCmd) -> bool,
+    ) -> Option<(usize, DramCmd)> {
+        let queue = if use_writes {
+            &self.write_q
         } else {
-            self.read_q.len()
+            &self.read_q
         };
-        match self.scheduler {
-            SchedulerKind::FrFcfs => 0..len,
-            SchedulerKind::Fcfs => 0..len.min(1),
-        }
+        let len = match self.scheduler {
+            SchedulerKind::FrFcfs => queue.len(),
+            SchedulerKind::Fcfs => queue.len().min(1),
+        };
+        queue[..len].iter().enumerate().find_map(|(i, q)| {
+            let cmd = self.demand_cmd(q);
+            pick(q, cmd).then_some((i, cmd))
+        })
     }
 
     fn try_issue_column(&mut self, now: Cycle, use_writes: bool, prof: &mut Profiler) -> bool {
         if now < self.bus_free {
             return false; // TSV data bus occupied
         }
-        let pick = self.candidates(use_writes).find(|&i| {
-            let q = if use_writes {
-                &self.write_q[i]
-            } else {
-                &self.read_q[i]
-            };
-            let bank = &self.banks[q.bank()];
-            bank.open_row() == Some(q.row()) && bank.can_rdwr(now)
+        let pick = self.first_candidate(use_writes, |_, cmd| {
+            matches!(cmd, DramCmd::Rd { .. } | DramCmd::Wr { .. }) && self.can_issue(&cmd, now)
         });
-        let Some(i) = pick else { return false };
+        let Some((i, cmd)) = pick else { return false };
         let mut q = if use_writes {
             self.write_q.remove(i)
         } else {
             self.read_q.remove(i)
         };
         let key = q.decoded.row_key();
-        let bank = &mut self.banks[q.bank()];
 
         // Classify: a request served with its row already open — and not
         // opened on its own behalf — is a row-buffer hit.
@@ -703,29 +805,16 @@ impl VaultController {
             action
         };
 
-        match q.req.kind {
-            AccessKind::Read => {
-                self.obs.stamp(q.req.id.0, Point::ServiceStart, now);
-                let done = bank.read(now, &self.timing);
-                // The TSV data bus carries this burst t_CL later; bursts
-                // pipeline behind CAS, so the bus slot is one t_BURST.
-                self.bus_free = now + self.timing.t_burst;
-                self.stats.bus_busy_cycles.add(self.timing.t_burst);
-                self.stats.energy.read_bursts += 1;
-                self.stats.reads.inc();
-                let source = match q.category {
-                    Some(AccessCategory::Hit) => ServiceSource::RowBufferHit,
-                    Some(AccessCategory::Conflict) => ServiceSource::RowBufferConflict,
-                    _ => ServiceSource::RowBufferMiss,
-                };
-                self.push_response(q.req, done, source);
-            }
-            AccessKind::Write => {
-                let _done = bank.write(now, &self.timing);
-                self.bus_free = now + self.timing.t_burst;
-                self.stats.bus_busy_cycles.add(self.timing.t_burst);
-                self.stats.energy.write_bursts += 1;
-            }
+        let done = self.issue(cmd, now);
+        if q.req.kind.is_read() {
+            self.obs.stamp(q.req.id.0, Point::ServiceStart, now);
+            self.stats.reads.inc();
+            let source = match q.category {
+                Some(AccessCategory::Hit) => ServiceSource::RowBufferHit,
+                Some(AccessCategory::Conflict) => ServiceSource::RowBufferConflict,
+                _ => ServiceSource::RowBufferMiss,
+            };
+            self.push_response(q.req, done, source);
         }
 
         self.apply_action(action, now);
@@ -741,42 +830,29 @@ impl VaultController {
     }
 
     fn try_issue_activate(&mut self, now: Cycle, use_writes: bool, prof: &mut Profiler) -> bool {
-        if self.refresh_pending || !self.window.can_activate(now) {
-            return false;
+        if self.refresh_pending || now < self.window.earliest_activate() {
+            return false; // draining for refresh, or tRRD/tFAW gates every ACT
         }
-        let pick = self.candidates(use_writes).find(|&i| {
-            let q = if use_writes {
-                &self.write_q[i]
-            } else {
-                &self.read_q[i]
-            };
-            let bank_idx = q.bank();
-            self.banks[bank_idx].can_activate(now)
-                && !self.writeback_holds(bank_idx)
-                && !self.fetch_pending_on(bank_idx)
+        let pick = self.first_candidate(use_writes, |q, cmd| {
+            matches!(cmd, DramCmd::Act { .. })
+                && self.can_issue(&cmd, now)
+                && !self.writeback_holds(q.bank())
+                && !self.fetch_pending_on(q.bank())
         });
-        let Some(i) = pick else { return false };
-        let (key, conflict) = {
-            let q = if use_writes {
-                &mut self.write_q[i]
-            } else {
-                &mut self.read_q[i]
-            };
-            let key = q.decoded.row_key();
-            let conflict = q.category == Some(AccessCategory::Conflict);
-            if q.category.is_none() {
-                q.category = Some(AccessCategory::Miss);
-                self.stats.row_misses.inc();
-            }
-            q.activated = true;
-            let bank = &mut self.banks[usize::from(key.bank)];
-            bank.activate(now, key.row, &self.timing);
-            (key, conflict)
+        let Some((i, cmd)) = pick else { return false };
+        let q = if use_writes {
+            &mut self.write_q[i]
+        } else {
+            &mut self.read_q[i]
         };
-        self.window.record(now);
-        self.stats.energy.activates += 1;
-        self.stats.demand_activations.inc();
-        self.note_activation(key.bank, key.row, now);
+        let key = q.decoded.row_key();
+        let conflict = q.category == Some(AccessCategory::Conflict);
+        if q.category.is_none() {
+            q.category = Some(AccessCategory::Miss);
+            self.stats.row_misses.inc();
+        }
+        q.activated = true;
+        self.issue(cmd, now);
         let queued = queued_same_row(
             &self.read_q,
             key.bank,
@@ -791,30 +867,22 @@ impl VaultController {
     }
 
     fn try_issue_precharge(&mut self, now: Cycle, use_writes: bool) -> bool {
-        let pick = self.candidates(use_writes).find(|&i| {
-            let q = if use_writes {
-                &self.write_q[i]
-            } else {
-                &self.read_q[i]
-            };
-            let bank_idx = q.bank();
-            let bank = &self.banks[bank_idx];
-            let Some(open) = bank.open_row() else {
-                return false;
-            };
-            if open == q.row() || !bank.can_precharge(now) {
+        let pick = self.first_candidate(use_writes, |q, cmd| {
+            if !matches!(cmd, DramCmd::Pre { .. }) || !self.can_issue(&cmd, now) {
                 return false;
             }
+            let bank_idx = q.bank();
             if self.fetch_pending_on(bank_idx) || self.writeback_holds(bank_idx) {
                 return false;
             }
             // FR-FCFS protects the open row while other requests still
             // target it — unless this request is starving.
+            let open = self.banks[bank_idx].open_row().unwrap_or_default();
             let open_row_demand = queued_same_row(&self.read_q, q.decoded.bank, open, None)
                 + queued_same_row(&self.write_q, q.decoded.bank, open, None);
             open_row_demand == 0 || now.saturating_sub(q.arrived) > STARVATION_LIMIT
         });
-        let Some(i) = pick else { return false };
+        let Some((i, cmd)) = pick else { return false };
         let q = if use_writes {
             &mut self.write_q[i]
         } else {
@@ -824,9 +892,7 @@ impl VaultController {
             q.category = Some(AccessCategory::Conflict);
             self.stats.row_conflicts.inc();
         }
-        let bank_idx = q.bank();
-        self.banks[bank_idx].precharge(now, &self.timing);
-        self.stats.energy.precharges += 1;
+        self.issue(cmd, now);
         true
     }
 
@@ -897,48 +963,38 @@ impl VaultController {
     }
 
     fn try_start_writeback_transfer(&mut self, now: Cycle) {
-        let Some(job) = &mut self.active_writeback else {
+        let Some(job) = self.active_writeback else {
             return;
         };
-        let key = job.key;
-        let bank_idx = usize::from(key.bank);
-        let bank = &mut self.banks[bank_idx];
-        let mut activated = false;
-        match bank.open_row() {
-            Some(row) if row == key.row => {
-                if now >= self.bus_free && bank.can_row_transfer(now) {
-                    let done = bank.row_transfer_in(now, &self.timing);
-                    self.bus_free = done;
-                    self.stats.bus_busy_cycles.add(self.timing.t_row_transfer);
-                    job.done = Some(done);
-                }
-            }
-            Some(open) => {
-                // A different row occupies the bank; close it when legal
-                // and when no demand wants it (demand precharges happen in
-                // the scheduler).
-                if bank.can_precharge(now) && !self.want_precharge[bank_idx] {
-                    let demand = queued_same_row(&self.read_q, key.bank, open, None)
-                        + queued_same_row(&self.write_q, key.bank, open, None);
-                    if demand == 0 {
-                        bank.precharge(now, &self.timing);
-                        self.stats.energy.precharges += 1;
-                    }
-                }
-            }
-            None => {
-                if !self.refresh_pending && bank.can_activate(now) && self.window.can_activate(now)
-                {
-                    bank.activate(now, key.row, &self.timing);
-                    self.window.record(now);
-                    self.stats.energy.activates += 1;
-                    activated = true;
-                }
-            }
+        let cmd = self.next_cmd(job.key, Cause::Writeback, AccessKind::Write);
+        if !self.can_issue(&cmd, now) {
+            return;
         }
-        if activated {
-            self.stats.writeback_activations.inc();
-            self.note_activation(key.bank, key.row, now);
+        match cmd {
+            DramCmd::RowIn { .. } => {
+                let done = self.issue(cmd, now);
+                self.active_writeback = Some(WritebackJob {
+                    key: job.key,
+                    done: Some(done),
+                });
+            }
+            DramCmd::Pre { bank } => {
+                // A different row occupies the bank; close it when no
+                // demand wants it (demand precharges happen in the
+                // scheduler).
+                let bank_idx = usize::from(bank);
+                let open = self.banks[bank_idx].open_row().unwrap_or_default();
+                let demand = queued_same_row(&self.read_q, bank, open, None)
+                    + queued_same_row(&self.write_q, bank, open, None);
+                if !self.want_precharge[bank_idx] && demand == 0 {
+                    self.issue(cmd, now);
+                }
+            }
+            _ => {
+                if !self.refresh_pending {
+                    self.issue(cmd, now);
+                }
+            }
         }
     }
 }
@@ -947,20 +1003,24 @@ impl Wake for VaultController {
     /// Folds every engine's earliest actionable cycle: pending responses,
     /// the refresh state machine, queued demand against bank/bus timing,
     /// in-flight row fetches, the precharge sweep, and the writeback
-    /// engine. Candidates are conservative lower bounds — a gate that is
-    /// really waiting on another event (e.g. a conflict precharge held off
-    /// by open-row demand) contributes a past-due edge that clamps to
-    /// `now + 1`, costing a no-op tick, never a missed one.
+    /// engine. Banks, the activation window, the prefetch buffer and the
+    /// scheme hold no timers of their own: they change only inside this
+    /// controller's calls, and every timing edge is read through the
+    /// scheduler's own `ready_at`. Candidates are conservative lower
+    /// bounds — a gate that is really waiting on another event (e.g. a
+    /// conflict precharge held off by open-row demand) contributes a
+    /// past-due edge that clamps to `now + 1`, costing a no-op tick, never
+    /// a missed one.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let mut wake: Option<Cycle> = None;
-        let mut up = |at: Cycle| fold_wake(&mut wake, now, Some(at));
+        let mut up = |at: Option<Cycle>| fold_wake(&mut wake, now, at);
 
         if let Some(Reverse((at, _, _))) = self.responses.peek() {
-            up(*at);
+            up(Some(*at));
         }
 
         // Refresh: the deadline while idle; while draining, every bank's
-        // path to `can_refresh` (close open rows, wait out busy arrays).
+        // path to the REF (close open rows, wait out busy arrays).
         if self.timing.t_refi > 0 {
             if self.refresh_pending {
                 for (idx, b) in self.banks.iter().enumerate() {
@@ -969,10 +1029,11 @@ impl Wake for VaultController {
                     if b.open_row().is_some() && self.fetch_pending_on(idx) {
                         continue;
                     }
-                    up(b.refresh_drain_edge());
+                    let pre = DramCmd::Pre { bank: idx as u16 };
+                    up(b.ready_at(&DramCmd::Ref).or(b.ready_at(&pre)));
                 }
             } else {
-                up(self.next_refresh);
+                up(Some(self.next_refresh));
             }
         }
 
@@ -980,67 +1041,53 @@ impl Wake for VaultController {
         if (!self.draining && self.write_q.len() >= self.drain_high)
             || (self.draining && self.write_q.len() <= self.drain_low)
         {
-            up(now + 1);
+            up(Some(now + 1));
         }
 
-        // Queued demand: a buffer-resident row is served next tick; an
-        // open matching row waits on bus + CAS timing; a closed bank on
-        // activation timing; a conflicting row on precharge timing or the
-        // starvation override.
+        // Queued demand: a buffer-resident row is served next tick; any
+        // other request waits on its next command, and a conflict
+        // precharge also on the starvation override.
         for q in self.read_q.iter().chain(self.write_q.iter()) {
             if self.buffer.contains(q.decoded.row_key()) {
-                up(now + 1);
+                up(Some(now + 1));
                 continue;
             }
-            let bank = &self.banks[q.bank()];
-            match bank.open_row() {
-                Some(r) if r == q.row() => up(self.bus_free.max(bank.rdwr_ready_at())),
-                Some(_) => {
-                    up(bank.precharge_ready_at());
-                    up(q.arrived + STARVATION_LIMIT + 1);
-                }
-                None => up(bank
-                    .activate_ready_at()
-                    .max(self.window.earliest_activate())),
+            let cmd = self.demand_cmd(q);
+            up(self.ready_at(&cmd));
+            if matches!(cmd, DramCmd::Pre { .. }) {
+                up(Some(q.arrived + STARVATION_LIMIT + 1));
             }
         }
 
         // Row fetches: completions and bus slots for the next chunk.
         for job in &self.fetches {
             if let Some(done) = job.done {
-                up(done);
+                up(Some(done));
                 continue;
             }
             if self.buffer.contains(job.key) {
-                up(now + 1); // duplicate: discarded next tick
+                up(Some(now + 1)); // duplicate: discarded next tick
                 continue;
             }
-            let bank = &self.banks[usize::from(job.key.bank)];
-            if bank.open_row() != Some(job.key.row) {
-                up(now + 1); // row closed under the fetch: dropped next tick
-                continue;
+            match self.next_cmd(job.key, Cause::Prefetch, AccessKind::Read) {
+                cmd @ DramCmd::Rd { .. } => up(self.ready_at(&cmd)),
+                _ => up(Some(now + 1)), // row closed under the fetch: dropped next tick
             }
-            up(self.bus_free.max(bank.rdwr_ready_at()));
         }
 
         // Precharge sweep.
         for (idx, b) in self.banks.iter().enumerate() {
             if self.want_precharge[idx] && b.open_row().is_some() && !self.fetch_pending_on(idx) {
-                up(b.precharge_ready_at());
+                up(b.ready_at(&DramCmd::Pre { bank: idx as u16 }));
             }
         }
 
         // Writeback engine.
         if let Some(job) = self.active_writeback {
             match job.done {
-                Some(done) => up(done),
+                Some(done) => up(Some(done)),
                 None => {
-                    let b = &self.banks[usize::from(job.key.bank)];
-                    match b.open_row() {
-                        Some(r) if r == job.key.row => up(self.bus_free.max(b.rdwr_ready_at())),
-                        Some(_) => up(b.precharge_ready_at()),
-                        None => up(b.activate_ready_at().max(self.window.earliest_activate())),
-                    }
+                    up(self.ready_at(&self.next_cmd(job.key, Cause::Writeback, AccessKind::Write)))
                 }
             }
         } else if let Some(&key) = self.writeback_q.front() {
@@ -1051,7 +1098,7 @@ impl Wake for VaultController {
                 .chain(self.write_q.iter())
                 .any(|q| q.bank() == bank_idx);
             if !demand_pending || self.writeback_q.len() > WRITEBACK_PRESSURE {
-                up(now + 1);
+                up(Some(now + 1));
             }
             // Else: yielding to demand; the demand candidates above cover
             // the tick on which the yield condition can change.
@@ -1530,21 +1577,32 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
-        // Conservation: every accepted read eventually produces exactly one
-        // response, under random schemes, banks, rows, and arrival gaps.
+        // Conservation: every accepted request eventually produces exactly
+        // one response, under random schemes, banks, rows, access kinds
+        // (writes dirty buffered rows, whose evictions cost writeback
+        // ACTs), arrival gaps, and RowHammer mitigation on or off. And the
+        // bookkeeping `issue` owns adds up: every ACT is counted under
+        // exactly one cause, and only an activated row is precharged.
         #[test]
-        fn no_read_is_ever_lost(
-            ops in proptest::collection::vec((0u16..8, 0u32..32, 0u16..16, 0u64..200), 1..60),
+        fn no_request_is_ever_lost(
+            ops in proptest::collection::vec(
+                (0u16..8, 0u32..8, 0u16..16, 0u64..200, proptest::bool::ANY),
+                1..120,
+            ),
             scheme_idx in 0usize..6,
+            mitigate in proptest::bool::ANY,
         ) {
-            let c = cfg();
+            let mut c = cfg();
+            c.rowguard.enable_mitigation = mitigate;
+            c.rowguard.threshold = 2;
             let mut v = VaultController::new(0, &c, SchemeKind::ALL[scheme_idx]).unwrap();
             let mut now: Cycle = 0;
             let mut accepted = 0u64;
             let mut out = Vec::new();
-            for (i, &(bank, row, col, gap)) in ops.iter().enumerate() {
+            for (i, &(bank, row, col, gap, write)) in ops.iter().enumerate() {
                 now += gap;
-                let (r, d) = req_at(&c, i as u64, bank, row, col, AccessKind::Read, now);
+                let kind = if write { AccessKind::Write } else { AccessKind::Read };
+                let (r, d) = req_at(&c, i as u64, bank, row, col, kind, now);
                 if v.try_enqueue(r, d, now) {
                     accepted += 1;
                 }
@@ -1557,12 +1615,18 @@ mod tests {
                 v.tick(now, &mut out, &mut Profiler::off());
             }
             proptest::prop_assert_eq!(out.len() as u64, accepted,
-                "accepted reads must all complete");
+                "accepted requests must all complete");
             // And every response id is unique.
             let mut ids: Vec<u64> = out.iter().map(|r| r.id.0).collect();
             ids.sort_unstable();
             ids.dedup();
             proptest::prop_assert_eq!(ids.len() as u64, accepted);
+            let s = v.stats();
+            proptest::prop_assert_eq!(
+                s.energy.activates,
+                s.demand_activations.get() + s.writeback_activations.get()
+            );
+            proptest::prop_assert!(s.energy.precharges <= s.energy.activates);
         }
     }
 

@@ -13,7 +13,7 @@
 //! cargo run --release --example trace_replay
 //! ```
 
-use camps_sim::camps::recovery::{read_snapshot, restore_run, write_snapshot};
+use camps_sim::camps::checkpoint::{read_snapshot, restore_run, write_snapshot};
 use camps_sim::camps::system::System;
 use camps_sim::camps_cpu::trace::TraceSource;
 use camps_sim::camps_cpu::trace_file::{record, FileTrace};

@@ -6,10 +6,10 @@
 //! the fault path: a fault-injected watchdog trip on a checkpointed run
 //! propagates the original typed error.
 
-use camps::experiment::RunSpec;
-use camps::recovery::{
+use camps::checkpoint::{
     decode_snapshot, read_snapshot, snapshot_to_string, SNAPSHOT_FORMAT_VERSION,
 };
+use camps::experiment::RunSpec;
 use camps::system::{Engine, RunState};
 use camps::System;
 use camps_obs::ObsConfig;
@@ -138,7 +138,7 @@ fn snapshots_are_byte_identical_with_and_without_observability() {
 
 #[test]
 fn rowguard_counters_ride_in_snapshots_and_round_trip_bit_identically() {
-    use camps::recovery::restore_run;
+    use camps::checkpoint::restore_run;
     use camps_sim::camps_types::snapshot::field;
 
     let cfg = fixture_cfg();
