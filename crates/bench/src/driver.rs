@@ -59,9 +59,9 @@ pub fn bench_journal() -> PathBuf {
 
 /// Runs a `mixes × schemes` matrix under the resilient sweep supervisor
 /// against the shared bench journal: already-journaled jobs are reused
-/// per-job (not all-or-nothing), fresh jobs get fault isolation and
-/// retry-with-resume. Panics if any job is quarantined — bench code
-/// fails loudly.
+/// per-job (not all-or-nothing), fresh jobs get fault isolation, and a
+/// failed job's checkpoint lets the next run resume it. Panics if any
+/// job is quarantined — bench code fails loudly.
 fn journaled_matrix(
     cfg: &SystemConfig,
     mixes: &[Mix],
@@ -71,7 +71,6 @@ fn journaled_matrix(
     let policy = SweepPolicy {
         journal_path: Some(bench_journal()),
         checkpoint_every: Some(2_000_000),
-        max_retries: 1,
         ..SweepPolicy::default()
     };
     let SweepRun {

@@ -10,9 +10,8 @@
 //! camps run   --resume <FILE> [--json] [--engine …]   # continue a checkpointed run
 //! camps sweep [--schemes a,b,…] [--mixes a,b,…] [--scale …] [--seed N] [--json]
 //!             [--cubes N] [--topology chain|star]
-//!             [--journal FILE] [--retries N] [--backoff-ms N] [--deadline-secs S]
-//!             [--checkpoint-every CYCLES] [--threads N] [--trace-out FILE]
-//!             [--progress-secs S]
+//!             [--journal FILE] [--deadline-secs S] [--checkpoint-every CYCLES]
+//!             [--threads N] [--trace-out FILE] [--progress-secs S]
 //! camps list                    # available mixes, schemes, benchmarks
 //! camps config                  # dump the Table I configuration as JSON
 //! ```
@@ -37,7 +36,8 @@
 //! `--checkpoint-every` snapshots the run to `--checkpoint-path`
 //! (default `camps.ckpt.json`) every N cycles; `--resume` continues from
 //! such a file. A run that fails exits nonzero with its typed error;
-//! `camps sweep --retries` retries failed jobs from their checkpoints.
+//! the simulator is deterministic, so re-running it unchanged fails the
+//! same way.
 //!
 //! `--trace-out` writes a Chrome trace-event JSON of every request
 //! lifecycle (open it at `ui.perfetto.dev`); `--trace-filter` keeps only
@@ -54,13 +54,14 @@
 //! `camps sweep` runs under the resilient supervisor
 //! ([`camps::sweep`]): `--journal` streams completed results into an
 //! append-only crash-safe JSONL file (re-invoking with the same journal
-//! skips finished jobs, so a killed sweep resumes where it stopped);
-//! `--retries`/`--backoff-ms` retry failed jobs (resuming from their
-//! last `--checkpoint-every` checkpoint) before quarantining them;
-//! `--deadline-secs` bounds each attempt's wall-clock time;
-//! `--threads` overrides the worker count (as does `RAYON_NUM_THREADS`).
-//! On sweeps, `--trace-out` writes sweep-level Perfetto instants (job
-//! completions, retries, quarantines) instead of a per-request trace.
+//! skips finished jobs, so a killed sweep resumes where it stopped).
+//! Each job runs once: a job that fails is quarantined, and with
+//! `--checkpoint-every` it leaves its last checkpoint behind, which the
+//! next invocation resumes from. `--deadline-secs` bounds each job's
+//! wall-clock time; `--threads` overrides the worker count (as does
+//! `RAYON_NUM_THREADS`). On sweeps, `--trace-out` writes sweep-level
+//! Perfetto instants (job completions, quarantines) instead of a
+//! per-request trace.
 //! The exit code is nonzero when any job ends quarantined; partial
 //! results are still printed.
 
@@ -89,8 +90,6 @@ struct Options {
     engine: Engine,
     obs: ObsConfig,
     journal: Option<PathBuf>,
-    retries: u32,
-    backoff_ms: u64,
     deadline_secs: Option<f64>,
     threads: Option<usize>,
     progress_secs: Option<f64>,
@@ -99,10 +98,8 @@ struct Options {
 }
 
 /// Flags only `camps sweep` reads.
-const SWEEP_ONLY: [&str; 6] = [
+const SWEEP_ONLY: [&str; 4] = [
     "--journal",
-    "--retries",
-    "--backoff-ms",
     "--deadline-secs",
     "--threads",
     "--progress-secs",
@@ -126,8 +123,6 @@ fn parse_options(command: &str, args: &[String]) -> Result<Options, String> {
         engine: Engine::default(),
         obs: ObsConfig::default(),
         journal: None,
-        retries: 0,
-        backoff_ms: 0,
         deadline_secs: None,
         threads: None,
         progress_secs: None,
@@ -189,7 +184,7 @@ fn parse_options(command: &str, args: &[String]) -> Result<Options, String> {
             "--max-recoveries" => {
                 return Err(
                     "camps: --max-recoveries was removed together with in-process \
-                            rollback; retry failed runs with `camps sweep --retries N`"
+                            rollback; resume a failed run with `camps run --resume FILE`"
                         .into(),
                 );
             }
@@ -229,18 +224,6 @@ fn parse_options(command: &str, args: &[String]) -> Result<Options, String> {
             }
             "--journal" => {
                 opts.journal = Some(PathBuf::from(it.next().ok_or("--journal needs a file")?));
-            }
-            "--retries" => {
-                opts.retries = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--retries needs a number")?;
-            }
-            "--backoff-ms" => {
-                opts.backoff_ms = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--backoff-ms needs milliseconds")?;
             }
             "--deadline-secs" => {
                 opts.deadline_secs = Some(
@@ -438,12 +421,9 @@ fn main() -> ExitCode {
             }
             let mixes: Vec<Mix> = opts.mixes.iter().map(|m| **m).collect();
             let policy = SweepPolicy {
-                max_retries: opts.retries,
-                retry_backoff: Duration::from_millis(opts.backoff_ms),
                 job_deadline: opts.deadline_secs.map(Duration::from_secs_f64),
                 checkpoint_every: opts.checkpoint_every,
                 journal_path: opts.journal.clone(),
-                scratch_dir: None,
                 threads: opts.threads,
                 trace_out: opts.obs.trace_out.clone(),
                 progress_every: opts.progress_secs.map(Duration::from_secs_f64),
@@ -495,7 +475,7 @@ fn main() -> ExitCode {
                  \n  camps run --resume camps.ckpt.json\
                  \n  camps sweep --mixes HM1,LM1 --schemes base,campsmod\
                  \n  camps sweep --cubes 2 --topology chain   # multi-cube pool\
-                 \n  camps sweep --journal sweep.jsonl --retries 2 --checkpoint-every 1000000\
+                 \n  camps sweep --journal sweep.jsonl --checkpoint-every 1000000\
                  \n  camps list | camps config"
             );
             ExitCode::FAILURE

@@ -25,7 +25,8 @@
 //! * [`checkpoint`] — checkpoint/restore of a mid-flight run: the
 //!   verified snapshot format the driver writes and resumes from,
 //! * [`sweep`] — the resilient parallel sweep supervisor: fault-isolated
-//!   jobs, retry-with-resume, a crash-safe journal, partial results.
+//!   jobs, quarantine, resume from leftover checkpoints, a crash-safe
+//!   journal, partial results.
 //!
 //! Every entry point returns [`Result`](camps_types::SimError)-typed
 //! errors: invalid configs, malformed traces, integrity violations, and

@@ -7,15 +7,17 @@
 //! * **Fault isolation** — each job runs under `catch_unwind`; a panic
 //!   becomes a typed [`SimError::Panic`] in that job's record instead of
 //!   aborting the sweep, and sibling jobs never notice.
-//! * **Wall-clock deadlines** — an optional per-attempt budget enforced
+//! * **Wall-clock deadlines** — an optional per-job budget enforced
 //!   alongside the cycle-domain watchdog: the watchdog catches a
 //!   *wedged* machine, the deadline catches a *slow* one
 //!   ([`SimError::Deadline`]).
-//! * **Retry with resume** — failed attempts are retried with
-//!   exponential backoff, resuming from the job's last periodic
-//!   checkpoint (bit-identical restore, see DESIGN.md §8) instead of
-//!   recomputing from scratch. Jobs that keep failing are
-//!   **quarantined** and reported; everything else completes.
+//! * **One attempt, then quarantine** — the simulator is deterministic,
+//!   so a job that failed would fail the same way again: each job runs
+//!   once, and a failed job is **quarantined** and reported while
+//!   everything else completes. With periodic checkpoints on, a failed
+//!   or killed job leaves its last checkpoint behind and the next sweep
+//!   resumes it from there (bit-identical restore, see DESIGN.md §8)
+//!   instead of recomputing from scratch.
 //! * **Crash-safe journal** — completed results stream into an
 //!   append-only JSONL journal keyed by (config hash, mix, scheme, seed,
 //!   run length) with a per-line checksum. A `kill -9`'d sweep resumes
@@ -24,8 +26,7 @@
 //! * **Partial results** — the sweep always returns a [`SweepRun`]: the
 //!   per-job results that exist, the per-job errors that occurred, and a
 //!   [`SweepReport`] accounting for every job
-//!   (completed/journaled/quarantined, retries, deadline hits, panics,
-//!   wall time).
+//!   (completed/journaled/quarantined, resumed, wall time).
 //!
 //! Determinism: each job is single-threaded and seeded, the vendored
 //! rayon pool returns results in job order regardless of thread count,
@@ -96,20 +97,20 @@ impl JobKey {
 }
 
 /// A deterministic fault to apply to one job, for testing the
-/// supervisor's isolation and retry machinery (the sweep analogue of
-/// [`camps_types::config::FaultPlan`]).
+/// supervisor's isolation, quarantine and resume machinery (the sweep
+/// analogue of [`camps_types::config::FaultPlan`]).
 #[derive(Debug, Clone, Copy)]
 pub enum InjectedFault {
     /// Panic the instant the job starts.
     PanicOnStart,
     /// Panic once simulation reaches this cycle — late enough to leave a
-    /// checkpoint behind, so the retry exercises resume-from-checkpoint.
+    /// checkpoint behind for the next sweep to resume from.
     PanicAtCycle(Cycle),
     /// Sleep this long at job start, tripping the wall-clock deadline.
     SleepOnStart(Duration),
     /// Stall a vault from the given cycle (the machine wedges and the
     /// forward-progress watchdog fires). Alters the job's effective
-    /// config, so checkpoints are suppressed for the faulted attempt.
+    /// config, so the faulted job neither resumes nor checkpoints.
     StallVault {
         /// Vault index to stall.
         vault: u32,
@@ -118,10 +119,10 @@ pub enum InjectedFault {
     },
 }
 
-/// Which jobs fail, how, and for how many attempts.
+/// Which jobs fail, and how.
 #[derive(Debug, Clone, Default)]
 pub struct SweepFaultPlan {
-    entries: Vec<(usize, InjectedFault, u32)>,
+    entries: Vec<(usize, InjectedFault)>,
 }
 
 impl SweepFaultPlan {
@@ -132,54 +133,45 @@ impl SweepFaultPlan {
     }
 
     /// Schedules `fault` for job index `job` (row-major over
-    /// mixes × schemes) on every attempt numbered below `attempts` —
-    /// `1` faults only the first attempt (the retry succeeds),
-    /// `u32::MAX` faults every attempt (the job quarantines).
+    /// mixes × schemes).
     #[must_use]
-    pub fn inject(mut self, job: usize, fault: InjectedFault, attempts: u32) -> Self {
-        self.entries.push((job, fault, attempts));
+    pub fn inject(mut self, job: usize, fault: InjectedFault) -> Self {
+        self.entries.push((job, fault));
         self
     }
 
-    fn fault_for(&self, job: usize, attempt: u32) -> Option<InjectedFault> {
+    fn fault_for(&self, job: usize) -> Option<InjectedFault> {
         self.entries
             .iter()
-            .find(|(j, _, upto)| *j == job && attempt < *upto)
-            .map(|(_, f, _)| *f)
+            .find(|(j, _)| *j == job)
+            .map(|(_, f)| *f)
     }
 }
 
 /// Failure-handling knobs for [`run_sweep`].
 #[derive(Debug, Clone, Default)]
 pub struct SweepPolicy {
-    /// Retries per job after the first attempt (0 = fail fast into
-    /// quarantine on the first error).
-    pub max_retries: u32,
-    /// Base backoff between a failure and its retry; doubles per
-    /// attempt. `Duration::ZERO` retries immediately.
-    pub retry_backoff: Duration,
-    /// Per-attempt wall-clock budget; `None` disables the deadline.
+    /// Per-job wall-clock budget; `None` disables the deadline.
     pub job_deadline: Option<Duration>,
-    /// Periodic per-job checkpoint interval (cycles). Enables
-    /// retry-with-resume and crash resume of half-finished jobs; `None`
-    /// means retries restart from scratch.
+    /// Periodic per-job checkpoint interval (cycles). A job that fails
+    /// or is killed leaves its last checkpoint behind, and the next
+    /// sweep resumes it from there; `None` means such a job restarts
+    /// from scratch. Checkpoints live in `<journal>.ckpts/` next to the
+    /// journal, else in a config-hash-keyed directory under the system
+    /// temp dir.
     pub checkpoint_every: Option<Cycle>,
     /// Append-only JSONL journal of completed results. Jobs already
     /// journaled (same [`JobKey`]) are skipped on re-invocation.
     pub journal_path: Option<PathBuf>,
-    /// Directory for per-job checkpoint files. Defaults to
-    /// `<journal>.ckpts/` next to the journal, else a config-hash-keyed
-    /// directory under the system temp dir.
-    pub scratch_dir: Option<PathBuf>,
     /// Worker thread count; `None`/0 uses `RAYON_NUM_THREADS` or all
     /// host cores.
     pub threads: Option<usize>,
-    /// When set, sweep-level Perfetto instants (job done, retry,
-    /// quarantine; timestamps in wall-clock microseconds since sweep
-    /// start) are written here.
+    /// When set, sweep-level Perfetto instants (job done, quarantine;
+    /// timestamps in wall-clock microseconds since sweep start) are
+    /// written here.
     pub trace_out: Option<PathBuf>,
-    /// When set, a heartbeat line (jobs done/total, retries so far,
-    /// quarantines so far, elapsed, crude ETA) is printed to stderr at
+    /// When set, a heartbeat line (jobs done/total, quarantines so far,
+    /// elapsed, crude ETA) is printed to stderr at
     /// this interval while the sweep runs. `None` (the default) keeps
     /// sweeps silent for scripting.
     pub progress_every: Option<Duration>,
@@ -192,16 +184,14 @@ pub struct SweepPolicy {
 #[derive(Debug, Default)]
 struct SweepProgress {
     done: std::sync::atomic::AtomicUsize,
-    retries: std::sync::atomic::AtomicU64,
     quarantined: std::sync::atomic::AtomicUsize,
 }
 
 impl SweepProgress {
     /// Records one finished job (journal skips count too — the user
     /// wants distance-to-done, not distance-to-computed).
-    fn note_job(&self, retries: u32, quarantined: bool) {
+    fn note_job(&self, quarantined: bool) {
         use std::sync::atomic::Ordering::Relaxed;
-        self.retries.fetch_add(u64::from(retries), Relaxed);
         if quarantined {
             self.quarantined.fetch_add(1, Relaxed);
         }
@@ -212,7 +202,6 @@ impl SweepProgress {
     fn report(&self, total: usize, started: Instant) {
         use std::sync::atomic::Ordering::Relaxed;
         let done = self.done.load(Relaxed);
-        let retries = self.retries.load(Relaxed);
         let quarantined = self.quarantined.load(Relaxed);
         let elapsed = started.elapsed().as_secs_f64();
         let eta = if done > 0 && done < total {
@@ -222,8 +211,8 @@ impl SweepProgress {
             String::new()
         };
         eprintln!(
-            "sweep: {done}/{total} jobs done, {retries} retries, \
-             {quarantined} quarantined, {elapsed:.0}s elapsed{eta}"
+            "sweep: {done}/{total} jobs done, {quarantined} quarantined, \
+             {elapsed:.0}s elapsed{eta}"
         );
     }
 }
@@ -231,11 +220,11 @@ impl SweepProgress {
 /// What ultimately happened to one job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum JobOutcome {
-    /// Ran (possibly after retries) and produced a result this sweep.
+    /// Ran and produced a result this sweep.
     Completed,
     /// Skipped: an identical-key result was already in the journal.
     Journaled,
-    /// Exhausted its retry budget (or failed non-retryably); no result.
+    /// Failed this sweep; no result.
     Quarantined,
 }
 
@@ -250,17 +239,10 @@ pub struct JobRecord {
     pub seed: u64,
     /// Final disposition.
     pub outcome: JobOutcome,
-    /// Attempts actually executed this sweep (0 for journaled jobs).
-    pub attempts: u32,
-    /// Retries that resumed from a checkpoint instead of restarting.
-    pub resumed_retries: u32,
-    /// Attempts cut by the wall-clock deadline.
-    pub deadline_hits: u32,
-    /// Attempts that panicked.
-    pub panics: u32,
-    /// Attempts aborted by the cycle-domain watchdog.
-    pub watchdog_trips: u32,
-    /// Wall-clock seconds spent on this job (all attempts + backoff).
+    /// The job continued from a checkpoint that an earlier killed or
+    /// failed sweep left behind, instead of starting from scratch.
+    pub resumed: bool,
+    /// Wall-clock seconds spent on this job this sweep.
     pub wall_secs: f64,
     /// Rendered final error for quarantined jobs.
     #[serde(default)]
@@ -277,10 +259,8 @@ pub struct SweepReport {
     pub completed: usize,
     /// Jobs skipped because the journal already had their result.
     pub journaled: usize,
-    /// Jobs that exhausted their retry budget.
+    /// Jobs that failed this sweep.
     pub quarantined: usize,
-    /// Total retries across all jobs (attempts beyond each job's first).
-    pub total_retries: u32,
     /// End-to-end sweep wall-clock seconds.
     pub wall_secs: f64,
     /// Worker threads used.
@@ -300,14 +280,13 @@ impl SweepReport {
         use std::fmt::Write as _;
         let mut out = format!(
             "sweep: {} job(s) on {} thread(s) in {:.1}s — {} completed, {} from journal, \
-             {} quarantined, {} retri(es)\n",
+             {} quarantined\n",
             self.jobs.len(),
             self.threads,
             self.wall_secs,
             self.completed,
             self.journaled,
             self.quarantined,
-            self.total_retries,
         );
         if self.journal_lines_discarded > 0 {
             let _ = writeln!(
@@ -316,32 +295,19 @@ impl SweepReport {
                 self.journal_lines_discarded
             );
         }
-        for j in &self.jobs {
-            if j.outcome == JobOutcome::Quarantined {
-                let _ = writeln!(
-                    out,
-                    "  QUARANTINED {}/{}#{} after {} attempt(s) \
-                     ({} panic(s), {} deadline hit(s), {} watchdog trip(s)): {}",
-                    j.mix_id,
-                    j.scheme.name(),
-                    j.seed,
-                    j.attempts,
-                    j.panics,
-                    j.deadline_hits,
-                    j.watchdog_trips,
-                    j.error.as_deref().unwrap_or("unknown error"),
-                );
-            } else if j.attempts > 1 {
-                let _ = writeln!(
-                    out,
-                    "  recovered {}/{}#{} on attempt {} ({} resumed from checkpoint)",
-                    j.mix_id,
-                    j.scheme.name(),
-                    j.seed,
-                    j.attempts,
-                    j.resumed_retries,
-                );
-            }
+        for j in self
+            .jobs
+            .iter()
+            .filter(|j| j.outcome == JobOutcome::Quarantined)
+        {
+            let _ = writeln!(
+                out,
+                "  QUARANTINED {}/{}#{}: {}",
+                j.mix_id,
+                j.scheme.name(),
+                j.seed,
+                j.error.as_deref().unwrap_or("unknown error"),
+            );
         }
         out
     }
@@ -507,16 +473,6 @@ impl Journal {
     }
 }
 
-/// Mutable per-attempt bookkeeping threaded through one job's attempts.
-#[derive(Debug, Default)]
-struct JobStats {
-    attempts: u32,
-    resumed_retries: u32,
-    deadline_hits: u32,
-    panics: u32,
-    watchdog_trips: u32,
-}
-
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -527,25 +483,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Errors worth retrying: transient-looking failures (a wedged or slow
-/// machine, a conservation trip, a bad checkpoint) — as opposed to
-/// deterministic input errors (config/trace/setup) that would fail
-/// identically on every attempt.
-fn retryable(err: &SimError) -> bool {
-    matches!(
-        err,
-        SimError::Panic { .. }
-            | SimError::Deadline { .. }
-            | SimError::Watchdog(_)
-            | SimError::Integrity(_)
-            | SimError::Snapshot { .. }
-    )
-}
-
-/// One simulation attempt through the run driver: resume from the job's
-/// checkpoint when one verifies, else start fresh, and apply the
-/// injected fault.
-fn run_attempt(
+/// The simulation itself: resume from the job's checkpoint when one
+/// verifies, else start fresh, and apply the injected fault. Sets
+/// `resumed` once a leftover checkpoint has been restored.
+fn simulate(
     job: &RunSpec,
     fault: Option<InjectedFault>,
     resumed: &mut bool,
@@ -556,9 +497,9 @@ fn run_attempt(
     let stalled;
     let mut spec = job.clone();
     if let Some(InjectedFault::StallVault { vault, from }) = fault {
-        // A config-mutating fault would write checkpoints a clean retry
+        // A config-mutating fault would write checkpoints a clean re-run
         // cannot restore (the manifest pins the config hash) — such
-        // attempts neither resume nor checkpoint.
+        // jobs neither resume nor checkpoint.
         let mut cfg = spec.cfg.clone();
         cfg.faults.stall_vault = vault;
         cfg.faults.stall_vault_from = from;
@@ -571,8 +512,8 @@ fn run_attempt(
         .as_ref()
         .map(|(_, path)| path.clone())
         .filter(|path| path.exists());
-    // A checkpoint from an earlier attempt (or a killed sweep) that
-    // does not verify is dropped, and the attempt starts fresh.
+    // A checkpoint from a failed or killed sweep that does not verify
+    // is dropped, and the job starts fresh.
     let mut run = match spec.start() {
         Ok(run) => {
             *resumed = spec.resume.is_some();
@@ -604,65 +545,22 @@ fn run_attempt(
     run.finish()
 }
 
-/// Runs one job to completion or quarantine: attempts with isolation,
-/// deadline, backoff, and resume-from-checkpoint.
-fn run_job(
-    job: &RunSpec,
-    job_index: usize,
-    policy: &SweepPolicy,
-    tracer: &TraceHandle,
-    sweep_started: Instant,
-    key: &JobKey,
-) -> (Result<RunResult, SimError>, JobStats) {
-    let mut stats = JobStats::default();
-    let mut attempt = 0u32;
-    loop {
-        stats.attempts += 1;
-        let fault = policy.faults.fault_for(job_index, attempt);
-        let mut resumed = false;
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_attempt(job, fault, &mut resumed)));
-        if attempt > 0 && resumed {
-            stats.resumed_retries += 1;
-        }
-        let result = match outcome {
-            Ok(r) => r,
-            Err(payload) => Err(SimError::Panic {
+/// Runs one job once, isolated: a panic becomes [`SimError::Panic`].
+/// A finished job removes its checkpoint; a failed one leaves it for the
+/// next sweep to resume from. Returns the outcome and whether the job
+/// resumed from a leftover checkpoint.
+fn run_job(job: &RunSpec, fault: Option<InjectedFault>) -> (Result<RunResult, SimError>, bool) {
+    let mut resumed = false;
+    let result = catch_unwind(AssertUnwindSafe(|| simulate(job, fault, &mut resumed)))
+        .unwrap_or_else(|payload| {
+            Err(SimError::Panic {
                 message: panic_message(payload),
-            }),
-        };
-        match result {
-            Ok(run) => {
-                if let Some((_, path)) = &job.checkpoint {
-                    std::fs::remove_file(path).ok();
-                }
-                return (Ok(run), stats);
-            }
-            Err(err) => {
-                match &err {
-                    SimError::Panic { .. } => stats.panics += 1,
-                    SimError::Deadline { .. } => stats.deadline_hits += 1,
-                    SimError::Watchdog(_) => stats.watchdog_trips += 1,
-                    _ => {}
-                }
-                if attempt >= policy.max_retries || !retryable(&err) {
-                    tracer.instant(
-                        format!("sweep_quarantine:{}", key.label()),
-                        micros_since(sweep_started),
-                    );
-                    return (Err(err), stats);
-                }
-                tracer.instant(
-                    format!("sweep_retry:{}", key.label()),
-                    micros_since(sweep_started),
-                );
-                let backoff = policy.retry_backoff.saturating_mul(1u32 << attempt.min(16));
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-                attempt += 1;
-            }
-        }
+            })
+        });
+    if let (Ok(_), Some((_, path))) = (&result, &job.checkpoint) {
+        std::fs::remove_file(path).ok();
     }
+    (result, resumed)
 }
 
 fn micros_since(start: Instant) -> u64 {
@@ -670,21 +568,24 @@ fn micros_since(start: Instant) -> u64 {
 }
 
 /// Per-job checkpoint file, keyed by the *full* job identity: config
-/// hash, workload, scheme, seed, and run length. The config hash prefix
-/// matters — two sweeps sharing a scratch directory but differing only
-/// in machine configuration (say, cube count) would otherwise collide on
-/// the same filename, and a resume would restore a checkpoint from the
-/// wrong machine (rejected by the manifest hash check, but the job then
-/// restarts from zero instead of its own checkpoint).
+/// hash, workload, scheme, seed, and run length (warmup, instructions
+/// and cycle cap). Every field matters. Two sweeps sharing a checkpoint
+/// directory but differing only in machine configuration (say, cube
+/// count) would otherwise collide, and the resume would be rejected by
+/// the manifest hash check, restarting the job from zero. Two differing
+/// only in the cycle cap would be worse: the restored run state carries
+/// the first sweep's cap, and its result would be journaled under the
+/// second sweep's key.
 fn ckpt_file(dir: &Path, key: &JobKey) -> PathBuf {
     dir.join(format!(
-        "{:016x}-{}-{}-s{}-w{}-i{}.ckpt.json",
+        "{:016x}-{}-{}-s{}-w{}-i{}-c{}.ckpt.json",
         key.config_hash,
         key.mix_id,
         key.scheme.name(),
         key.seed,
         key.warmup_instructions,
-        key.instructions
+        key.instructions,
+        key.max_cycles
     ))
 }
 
@@ -735,14 +636,12 @@ pub fn run_sweep(
         done.insert(&entry.key, &entry.result);
     }
 
-    // Scratch dir for per-job checkpoints.
-    let scratch = if policy.checkpoint_every.is_some() {
-        let dir = policy.scratch_dir.clone().unwrap_or_else(|| {
-            policy.journal_path.as_ref().map_or_else(
-                || std::env::temp_dir().join(format!("camps-sweep-{chash:016x}")),
-                |j| j.with_extension("ckpts"),
-            )
-        });
+    // Directory for per-job checkpoints.
+    let ckpt_dir = if policy.checkpoint_every.is_some() {
+        let dir = policy.journal_path.as_ref().map_or_else(
+            || std::env::temp_dir().join(format!("camps-sweep-{chash:016x}")),
+            |j| j.with_extension("ckpts"),
+        );
         std::fs::create_dir_all(&dir).map_err(|e| io_err(&dir, e))?;
         Some(dir)
     } else {
@@ -787,35 +686,63 @@ pub fn run_sweep(
         })?;
     let threads = pool.current_num_threads();
 
-    let job_outputs: Vec<(Result<RunResult, SimError>, JobStats, bool, f64)> = pool.install(|| {
+    let job_outputs: Vec<(Result<RunResult, SimError>, JobRecord)> = pool.install(|| {
         jobs.par_iter()
             .map(|(index, mix, scheme)| {
                 let key = &keys[*index];
+                let record = |outcome, resumed, wall_secs, error| JobRecord {
+                    mix_id: key.mix_id.clone(),
+                    scheme: key.scheme,
+                    seed: key.seed,
+                    outcome,
+                    resumed,
+                    wall_secs,
+                    error,
+                };
                 if let Some(prev) = done.get(key) {
-                    progress.note_job(0, false);
-                    return (Ok((*prev).clone()), JobStats::default(), true, 0.0);
+                    progress.note_job(false);
+                    return (
+                        Ok((*prev).clone()),
+                        record(JobOutcome::Journaled, false, 0.0, None),
+                    );
                 }
                 let job_started = Instant::now();
                 let job = RunSpec {
                     checkpoint: policy
                         .checkpoint_every
-                        .zip(scratch.as_ref())
+                        .zip(ckpt_dir.as_ref())
                         .map(|(every, dir)| (every, ckpt_file(dir, key))),
                     deadline: policy.job_deadline,
                     ..RunSpec::new(cfg, mix, *scheme, *len, seed)
                 };
-                let (result, stats) = run_job(&job, *index, policy, &tracer, sweep_started, key);
-                if let (Ok(run), Some(j)) = (&result, journal.as_ref()) {
-                    if j.append(key, run).is_err() {
-                        journal_append_errors.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let (result, resumed) = run_job(&job, policy.faults.fault_for(*index));
+                let outcome = match &result {
+                    Ok(run) => {
+                        if journal
+                            .as_ref()
+                            .is_some_and(|j| j.append(key, run).is_err())
+                        {
+                            journal_append_errors
+                                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        }
+                        JobOutcome::Completed
                     }
-                }
+                    Err(_) => {
+                        tracer.instant(
+                            format!("sweep_quarantine:{}", key.label()),
+                            micros_since(sweep_started),
+                        );
+                        JobOutcome::Quarantined
+                    }
+                };
                 tracer.instant(
                     format!("sweep_job_done:{}", key.label()),
                     micros_since(sweep_started),
                 );
-                progress.note_job(stats.attempts.saturating_sub(1), result.is_err());
-                (result, stats, false, job_started.elapsed().as_secs_f64())
+                progress.note_job(result.is_err());
+                let error = result.as_ref().err().map(ToString::to_string);
+                let wall_secs = job_started.elapsed().as_secs_f64();
+                (result, record(outcome, resumed, wall_secs, error))
             })
             .collect()
     });
@@ -825,62 +752,26 @@ pub fn run_sweep(
         handle.join().ok();
     }
 
-    // Assemble the run + report in job order.
-    let mut results = Vec::with_capacity(job_outputs.len());
-    let mut errors = Vec::with_capacity(job_outputs.len());
-    let mut records = Vec::with_capacity(job_outputs.len());
-    let (mut completed, mut journaled, mut quarantined, mut total_retries) = (0, 0, 0, 0u32);
-    for ((result, stats, from_journal, wall_secs), key) in job_outputs.into_iter().zip(&keys) {
-        let (outcome, error) = match (&result, from_journal) {
-            (_, true) => {
-                journaled += 1;
-                (JobOutcome::Journaled, None)
-            }
-            (Ok(_), false) => {
-                completed += 1;
-                (JobOutcome::Completed, None)
-            }
-            (Err(e), false) => {
-                quarantined += 1;
-                (JobOutcome::Quarantined, Some(e.to_string()))
-            }
-        };
-        total_retries += stats.attempts.saturating_sub(1);
-        records.push(JobRecord {
-            mix_id: key.mix_id.clone(),
-            scheme: key.scheme,
-            seed: key.seed,
-            outcome,
-            attempts: stats.attempts,
-            resumed_retries: stats.resumed_retries,
-            deadline_hits: stats.deadline_hits,
-            panics: stats.panics,
-            watchdog_trips: stats.watchdog_trips,
-            wall_secs,
-            error,
-        });
-        match result {
-            Ok(r) => {
-                results.push(Some(r));
-                errors.push(None);
-            }
-            Err(e) => {
-                results.push(None);
-                errors.push(Some(e));
-            }
-        }
-    }
+    // Split into the run + report, in job order.
+    let (outputs, records): (Vec<_>, Vec<JobRecord>) = job_outputs.into_iter().unzip();
+    let (results, errors) = outputs
+        .into_iter()
+        .map(|r| match r {
+            Ok(r) => (Some(r), None),
+            Err(e) => (None, Some(e)),
+        })
+        .unzip();
+    let count = |outcome| records.iter().filter(|r| r.outcome == outcome).count();
 
     if let Some(path) = &policy.trace_out {
         tracer.export_trace(path).map_err(|e| io_err(path, e))?;
     }
 
     let report = SweepReport {
+        completed: count(JobOutcome::Completed),
+        journaled: count(JobOutcome::Journaled),
+        quarantined: count(JobOutcome::Quarantined),
         jobs: records,
-        completed,
-        journaled,
-        quarantined,
-        total_retries,
         wall_secs: sweep_started.elapsed().as_secs_f64(),
         threads,
         journal_entries_loaded: recovery.entries,
@@ -962,6 +853,19 @@ mod tests {
             &tiny(),
         );
         assert_eq!(ckpt_file(dir, &key_one), ckpt_file(dir, &again));
+        // Same machine and job, different cycle cap: a resume across the
+        // two would carry the other cap and journal under the wrong key.
+        let capped = JobKey::new(
+            config_hash(&one).unwrap(),
+            mix,
+            SchemeKind::Nopf,
+            1,
+            &RunLength {
+                max_cycles: tiny().max_cycles / 2,
+                ..tiny()
+            },
+        );
+        assert_ne!(ckpt_file(dir, &key_one), ckpt_file(dir, &capped));
     }
 
     #[test]
@@ -988,13 +892,19 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_matches_attempts_below_threshold() {
+    fn fault_plan_faults_only_its_jobs() {
         let plan = SweepFaultPlan::new()
-            .inject(2, InjectedFault::PanicOnStart, 1)
-            .inject(4, InjectedFault::PanicOnStart, u32::MAX);
-        assert!(plan.fault_for(2, 0).is_some());
-        assert!(plan.fault_for(2, 1).is_none(), "retry runs clean");
-        assert!(plan.fault_for(4, 31).is_some(), "always-faulted job");
-        assert!(plan.fault_for(0, 0).is_none());
+            .inject(2, InjectedFault::PanicOnStart)
+            .inject(4, InjectedFault::PanicAtCycle(10));
+        assert!(matches!(
+            plan.fault_for(2),
+            Some(InjectedFault::PanicOnStart)
+        ));
+        assert!(matches!(
+            plan.fault_for(4),
+            Some(InjectedFault::PanicAtCycle(10))
+        ));
+        assert!(plan.fault_for(0).is_none());
+        assert!(plan.fault_for(3).is_none());
     }
 }

@@ -1,7 +1,6 @@
 //! The complete simulated machine: cores, cache hierarchy, and cube.
 
 use crate::audit::RequestAuditor;
-use crate::hmc::HmcDevice;
 use crate::metrics::RunResult;
 use crate::topology::Topology;
 use camps_cache::hierarchy::{CacheHierarchy, HierarchyOutcome};
@@ -119,12 +118,6 @@ impl MemorySubsystem {
             responses_delivered: 0,
             obs: TraceHandle::disabled(),
         })
-    }
-
-    /// Direct read access to the host-attached cube.
-    #[must_use]
-    pub fn hmc(&self) -> &HmcDevice {
-        self.hmc.cube0()
     }
 
     /// The cube pool: address interleaving, fabric, and every cube.

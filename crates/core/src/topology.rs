@@ -106,12 +106,6 @@ impl Topology {
         &self.cube_map
     }
 
-    /// The host-attached cube (tests, single-cube compatibility paths).
-    #[must_use]
-    pub fn cube0(&self) -> &HmcDevice {
-        &self.pool.cubes[0]
-    }
-
     /// Every cube in the pool.
     #[must_use]
     pub fn all_cubes(&self) -> &[HmcDevice] {

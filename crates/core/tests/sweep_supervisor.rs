@@ -1,6 +1,7 @@
 //! Integration tests for the resilient sweep supervisor: fault
-//! isolation, deadline enforcement, retry-with-resume, watchdog
-//! quarantine, journal crash tolerance, and thread-count independence.
+//! isolation, deadline enforcement, watchdog quarantine, resume from a
+//! failed job's leftover checkpoint, journal crash tolerance, and
+//! thread-count independence.
 
 use camps::experiment::RunLength;
 use camps::metrics::RunResult;
@@ -39,7 +40,7 @@ fn fingerprint(r: &RunResult) -> String {
 fn panicking_job_quarantines_without_poisoning_siblings() {
     let cfg = SystemConfig::paper_default();
     let policy = SweepPolicy {
-        faults: SweepFaultPlan::new().inject(1, InjectedFault::PanicOnStart, u32::MAX),
+        faults: SweepFaultPlan::new().inject(1, InjectedFault::PanicOnStart),
         ..SweepPolicy::default()
     };
     let run = run_sweep(
@@ -57,8 +58,6 @@ fn panicking_job_quarantines_without_poisoning_siblings() {
     assert!(run.results[1].is_none());
     let bad = &run.report.jobs[1];
     assert_eq!(bad.outcome, JobOutcome::Quarantined);
-    assert_eq!(bad.panics, 1);
-    assert_eq!(bad.attempts, 1, "max_retries 0 means one attempt");
     let msg = bad.error.as_deref().unwrap();
     assert!(msg.contains("panicked"), "typed panic error, got: {msg}");
     // The quarantined slot carries the typed error, not a result.
@@ -93,11 +92,8 @@ fn deadline_overrun_quarantines_and_is_recorded() {
         // run in a couple of seconds even in debug builds, while the
         // faulted job sleeps well past the limit.
         job_deadline: Some(Duration::from_secs(10)),
-        faults: SweepFaultPlan::new().inject(
-            0,
-            InjectedFault::SleepOnStart(Duration::from_secs(12)),
-            u32::MAX,
-        ),
+        faults: SweepFaultPlan::new()
+            .inject(0, InjectedFault::SleepOnStart(Duration::from_secs(12))),
         ..SweepPolicy::default()
     };
     let run = run_sweep(
@@ -116,7 +112,6 @@ fn deadline_overrun_quarantines_and_is_recorded() {
     );
     let bad = &run.report.jobs[0];
     assert_eq!(bad.outcome, JobOutcome::Quarantined);
-    assert_eq!(bad.deadline_hits, 1);
     assert!(matches!(
         run.errors[0],
         Some(camps_types::error::SimError::Deadline { .. })
@@ -128,69 +123,85 @@ fn deadline_overrun_quarantines_and_is_recorded() {
     );
 }
 
+/// A job that panics mid-run is quarantined with its last periodic
+/// checkpoint left on disk; the next (fault-free) sweep on the same
+/// journal resumes from that checkpoint, matches a clean sweep bit for
+/// bit, and removes the file.
 #[test]
-fn retry_resumes_from_checkpoint_and_matches_clean_run() {
+fn failed_job_leaves_its_checkpoint_and_the_next_sweep_resumes_from_it() {
     let cfg = SystemConfig::paper_default();
     let dir = scratch("resume");
+    let ckpts = dir.join("sweep.ckpts");
     let one_scheme = vec![SchemeKind::Base];
+    let sweep = |policy: &SweepPolicy| {
+        run_sweep(
+            &cfg,
+            &mixes(),
+            &one_scheme,
+            &RunLength::tiny(),
+            SEED,
+            policy,
+        )
+        .unwrap()
+    };
+    let leftovers = || -> Vec<PathBuf> {
+        std::fs::read_dir(&ckpts)
+            .unwrap()
+            .filter_map(Result::ok)
+            .map(|e| e.path())
+            .collect()
+    };
     let policy = SweepPolicy {
-        max_retries: 1,
         checkpoint_every: Some(2_000),
-        scratch_dir: Some(dir.clone()),
-        // Panic well into the run, after several checkpoints exist; the
-        // single retry runs clean and must pick up from the last one.
-        faults: SweepFaultPlan::new().inject(0, InjectedFault::PanicAtCycle(6_000), 1),
+        journal_path: Some(dir.join("sweep.jsonl")),
+        // Panic well into the run, after several checkpoints exist.
+        faults: SweepFaultPlan::new().inject(0, InjectedFault::PanicAtCycle(6_000)),
         ..SweepPolicy::default()
     };
-    let run = run_sweep(
-        &cfg,
-        &mixes(),
-        &one_scheme,
-        &RunLength::tiny(),
-        SEED,
-        &policy,
-    )
-    .unwrap();
-    let rec = &run.report.jobs[0];
-    assert_eq!(rec.outcome, JobOutcome::Completed);
-    assert_eq!(rec.attempts, 2);
-    assert_eq!(rec.panics, 1);
+    let failed = sweep(&policy);
+    let rec = &failed.report.jobs[0];
+    assert_eq!(rec.outcome, JobOutcome::Quarantined, "{rec:?}");
+    assert!(!rec.resumed, "nothing to resume from yet: {rec:?}");
+    assert!(matches!(
+        failed.errors[0],
+        Some(camps_types::error::SimError::Panic { .. })
+    ));
     assert_eq!(
-        rec.resumed_retries, 1,
-        "the retry must resume from the checkpoint, not restart: {rec:?}"
+        leftovers().len(),
+        1,
+        "the failed job must leave its checkpoint behind"
     );
-    let clean = run_sweep(
-        &cfg,
-        &mixes(),
-        &one_scheme,
-        &RunLength::tiny(),
-        SEED,
-        &SweepPolicy::default(),
-    )
-    .unwrap();
+
+    let rerun = sweep(&SweepPolicy {
+        faults: SweepFaultPlan::new(),
+        ..policy
+    });
+    let rec = &rerun.report.jobs[0];
+    assert_eq!(rec.outcome, JobOutcome::Completed, "{rec:?}");
+    assert!(
+        rec.resumed,
+        "the re-run must resume from the checkpoint, not restart: {rec:?}"
+    );
+    let clean = sweep(&SweepPolicy::default());
     assert_eq!(
-        fingerprint(run.results[0].as_ref().unwrap()),
+        fingerprint(rerun.results[0].as_ref().unwrap()),
         fingerprint(clean.results[0].as_ref().unwrap()),
         "resume-from-checkpoint must be bit-identical to the straight run"
     );
-    // The successful job cleans its checkpoint up.
-    let leftovers: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .collect();
+    // The finished job cleans its checkpoint up.
     assert!(
-        leftovers.is_empty(),
-        "stale checkpoints left: {leftovers:?}"
+        leftovers().is_empty(),
+        "stale checkpoints left: {:?}",
+        leftovers()
     );
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The fault drill end to end: a start-panic retried clean and a
-/// permanently stalled vault that trips the watchdog on every attempt
-/// and quarantines, with checkpoints and a journal on. The survivors
-/// match a clean sweep, and a fault-free re-run on the same journal
-/// takes them from it, runs only the quarantined job and fills the hole.
+/// The fault drill end to end: a start-panic and a stalled vault that
+/// trips the watchdog both quarantine, with checkpoints and a journal
+/// on. The survivor matches a clean sweep, and a fault-free re-run on
+/// the same journal takes it from there, runs only the quarantined jobs
+/// and fills both holes.
 #[test]
 fn stalled_vault_quarantines_and_a_journal_rerun_fills_the_hole() {
     let cfg = SystemConfig::paper_default();
@@ -200,50 +211,50 @@ fn stalled_vault_quarantines_and_a_journal_rerun_fills_the_hole() {
     };
     let clean = sweep(&SweepPolicy::default());
     let policy = SweepPolicy {
-        max_retries: 2,
         checkpoint_every: Some(2_000),
         journal_path: Some(dir.join("sweep.jsonl")),
-        scratch_dir: Some(dir.join("ckpts")),
         faults: SweepFaultPlan::new()
-            .inject(0, InjectedFault::PanicOnStart, 1)
+            .inject(0, InjectedFault::PanicOnStart)
             .inject(
                 2,
                 InjectedFault::StallVault {
                     vault: 0,
                     from: 1_000,
                 },
-                u32::MAX,
             ),
         ..SweepPolicy::default()
     };
     let drill = sweep(&policy);
-    assert_eq!(drill.report.completed, 2, "{}", drill.report.render());
-    assert_eq!(drill.report.quarantined, 1, "{}", drill.report.render());
-    let panicked = &drill.report.jobs[0];
-    assert_eq!(panicked.outcome, JobOutcome::Completed);
-    assert_eq!((panicked.attempts, panicked.panics), (2, 1), "{panicked:?}");
-    let stalled = &drill.report.jobs[2];
-    assert_eq!(stalled.outcome, JobOutcome::Quarantined);
-    assert_eq!(
-        (stalled.attempts, stalled.watchdog_trips),
-        (3, 3),
-        "the stall must trip the watchdog on every attempt: {stalled:?}"
-    );
-    assert!(drill.results[2].is_none());
-    for i in [0, 1] {
-        assert_eq!(
-            fingerprint(drill.results[i].as_ref().unwrap()),
-            fingerprint(clean.results[i].as_ref().unwrap()),
-            "job {i}: faults in the sweep must not change a survivor"
-        );
+    assert_eq!(drill.report.completed, 1, "{}", drill.report.render());
+    assert_eq!(drill.report.quarantined, 2, "{}", drill.report.render());
+    for i in [0, 2] {
+        assert_eq!(drill.report.jobs[i].outcome, JobOutcome::Quarantined);
+        assert!(drill.results[i].is_none());
     }
+    assert!(matches!(
+        drill.errors[0],
+        Some(camps_types::error::SimError::Panic { .. })
+    ));
+    assert!(
+        matches!(
+            drill.errors[2],
+            Some(camps_types::error::SimError::Watchdog(_))
+        ),
+        "the stall must trip the watchdog: {:?}",
+        drill.errors[2]
+    );
+    assert_eq!(
+        fingerprint(drill.results[1].as_ref().unwrap()),
+        fingerprint(clean.results[1].as_ref().unwrap()),
+        "faults in the sweep must not change a survivor"
+    );
 
     let rerun = sweep(&SweepPolicy {
         faults: SweepFaultPlan::new(),
         ..policy
     });
-    assert_eq!(rerun.report.journaled, 2, "{}", rerun.report.render());
-    assert_eq!(rerun.report.completed, 1, "{}", rerun.report.render());
+    assert_eq!(rerun.report.journaled, 1, "{}", rerun.report.render());
+    assert_eq!(rerun.report.completed, 2, "{}", rerun.report.render());
     for (i, (got, want)) in rerun.results.iter().zip(&clean.results).enumerate() {
         let got = got
             .as_ref()
@@ -354,35 +365,39 @@ fn sweep_results_are_independent_of_thread_count() {
 
 #[cfg(feature = "obs")]
 #[test]
-fn sweep_trace_records_job_and_retry_instants() {
+fn sweep_trace_records_job_and_quarantine_instants() {
     let cfg = SystemConfig::paper_default();
     let dir = scratch("trace");
     let trace = dir.join("sweep.trace.json");
     let policy = SweepPolicy {
-        max_retries: 1,
         trace_out: Some(trace.clone()),
-        faults: SweepFaultPlan::new().inject(0, InjectedFault::PanicOnStart, 1),
+        faults: SweepFaultPlan::new().inject(0, InjectedFault::PanicOnStart),
         ..SweepPolicy::default()
     };
-    let one_scheme = vec![SchemeKind::Nopf];
     let run = run_sweep(
         &cfg,
         &mixes(),
-        &one_scheme,
+        &schemes(),
         &RunLength::tiny(),
         SEED,
         &policy,
     )
     .unwrap();
-    assert_eq!(run.report.completed, 1);
+    assert_eq!(run.report.quarantined, 1);
     let text = std::fs::read_to_string(&trace).unwrap();
     assert!(
-        text.contains("sweep_retry:HM1/NOPF#7"),
-        "retry instant missing from trace"
+        text.contains("sweep_quarantine:HM1/NOPF#7"),
+        "quarantine instant missing from trace"
     );
     assert!(
-        text.contains("sweep_job_done:HM1/NOPF#7"),
-        "completion instant missing from trace"
+        !text.contains("sweep_quarantine:HM1/BASE#7"),
+        "a completed job must not be marked quarantined"
     );
+    for label in ["NOPF", "BASE", "CAMPS-MOD"] {
+        assert!(
+            text.contains(&format!("sweep_job_done:HM1/{label}#7")),
+            "completion instant for {label} missing from trace"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -67,7 +67,7 @@ enum TraceRecord {
     /// An instantaneous event (watchdog trip, injected fault).
     Mark { name: &'static str, at: Cycle },
     /// An instantaneous event with a runtime-built name (sweep-level
-    /// retry/quarantine markers carrying the job's identity).
+    /// job-done/quarantine markers carrying the job's identity).
     Instant { name: String, at: Cycle },
 }
 

@@ -234,8 +234,8 @@ impl TraceHandle {
     }
 
     /// Records an instantaneous event with a runtime-built name — the
-    /// sweep supervisor stamps retry/quarantine markers carrying the
-    /// job's identity (`sweep_retry:HM1/CampsMod#7`). `at` is whatever
+    /// sweep supervisor stamps job-done/quarantine markers carrying the
+    /// job's identity (`sweep_quarantine:HM1/CAMPS-MOD#7`). `at` is whatever
     /// timebase the caller renders in (the sweep uses microseconds of
     /// wall clock since sweep start).
     #[inline]

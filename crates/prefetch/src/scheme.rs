@@ -67,11 +67,6 @@ pub trait PrefetchScheme: Send {
         let _ = (key, referenced);
     }
 
-    /// Diagnostic one-liner of internal state (adaptive thresholds etc.).
-    fn debug_state(&self) -> String {
-        self.kind().name().to_string()
-    }
-
     /// `(RUT entries, CT entries)` currently live — the occupancy gauge
     /// behind the metrics time-series. Table-less schemes report zero.
     fn table_occupancy(&self) -> (usize, usize) {

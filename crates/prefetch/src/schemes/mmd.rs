@@ -136,13 +136,6 @@ impl PrefetchScheme for Mmd {
         }
     }
 
-    fn debug_state(&self) -> String {
-        format!(
-            "MMD thr={} epoch={}/{} useful={}",
-            self.threshold, self.issued_in_epoch, self.epoch, self.useful_in_epoch
-        )
-    }
-
     fn table_occupancy(&self) -> (usize, usize) {
         (self.hits.occupied(), 0)
     }
@@ -254,7 +247,7 @@ mod tests {
         let mut b = Mmd::new(16, 2);
         b.restore_state(&state).unwrap();
         assert_eq!(b.threshold(), 3);
-        assert_eq!(a.debug_state(), b.debug_state());
+        assert_eq!(a.save_state(), b.save_state());
         for row in 10..14 {
             assert_eq!(
                 a.on_row_activated(k(2, row), false, 0),

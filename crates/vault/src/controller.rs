@@ -245,12 +245,6 @@ impl VaultController {
         &self.stats
     }
 
-    /// Diagnostic one-liner of the scheme's internal state.
-    #[must_use]
-    pub fn scheme_debug(&self) -> String {
-        self.scheme.debug_state()
-    }
-
     /// Occupancy snapshot for watchdog diagnostics: queue depths, open
     /// rows, buffer residency, and in-flight transfer jobs. The host-side
     /// retry-queue depth is not visible from inside the vault; the caller
