@@ -26,6 +26,7 @@
 
 use camps::metrics::RunResult;
 use camps::System;
+use camps_bench::{check_wall_ceiling, BenchArgs};
 use camps_cpu::trace::TraceSource;
 use camps_dram::TimingCpu;
 use camps_prefetch::SchemeKind;
@@ -171,32 +172,16 @@ fn render(entries: &[Entry], ranking: &[(SchemeKind, f64)], mitigated: &[Mitigat
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path = String::from("BENCH_adversarial.json");
-    let mut check_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => match it.next() {
-                Some(p) => out_path = p.clone(),
-                None => {
-                    eprintln!("--out needs a file");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--check" => match it.next() {
-                Some(p) => check_path = Some(p.clone()),
-                None => {
-                    eprintln!("--check needs a baseline file");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown option `{other}` (try --out FILE | --check FILE)");
-                return ExitCode::FAILURE;
-            }
+    let BenchArgs {
+        out: out_path,
+        check: check_path,
+    } = match BenchArgs::parse(std::env::args().skip(1), "BENCH_adversarial.json") {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
         }
-    }
+    };
 
     let started = Instant::now();
     let cfg = SystemConfig::paper_default();
@@ -321,21 +306,9 @@ fn main() -> ExitCode {
     println!("wrote {out_path}");
 
     if let Some(path) = check_path {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("adversarial: cannot read baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let Some(ceiling) = camps_bench::baseline_value(&text, None, "adversarial_ceiling") else {
-            eprintln!("adversarial: baseline {path} has no adversarial_ceiling");
-            return ExitCode::FAILURE;
-        };
         let elapsed = started.elapsed().as_secs_f64();
-        println!("total wall time {elapsed:.1}s, ceiling {ceiling:.1}s");
-        if elapsed > ceiling {
-            eprintln!("adversarial: wall time exceeded the committed ceiling");
+        if let Err(e) = check_wall_ceiling(&path, "adversarial_ceiling", elapsed) {
+            eprintln!("adversarial: {e}");
             return ExitCode::FAILURE;
         }
     }

@@ -23,7 +23,9 @@
 use camps::experiment::RunLength;
 use camps::metrics::RunResult;
 use camps::sweep::{run_sweep, SweepPolicy};
+use camps_bench::{check_wall_ceiling, BenchArgs};
 use camps_prefetch::SchemeKind;
+use camps_stats::geomean;
 use camps_types::config::SystemConfig;
 use camps_workloads::Mix;
 use std::fmt::Write as _;
@@ -50,9 +52,7 @@ fn scheme_geomean(results: &[RunResult], scheme: SchemeKind) -> f64 {
         .filter(|r| r.scheme == scheme)
         .map(RunResult::geomean_ipc)
         .collect();
-    assert!(!ipcs.is_empty(), "no results for {}", scheme.name());
-    let log_sum: f64 = ipcs.iter().map(|i| i.ln()).sum();
-    (log_sum / ipcs.len() as f64).exp()
+    geomean(&ipcs).unwrap_or_else(|| panic!("no positive IPCs for {}", scheme.name()))
 }
 
 fn run() -> Result<String, String> {
@@ -111,32 +111,16 @@ fn run() -> Result<String, String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path = String::from("BENCH_multicube.json");
-    let mut check_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => match it.next() {
-                Some(p) => out_path = p.clone(),
-                None => {
-                    eprintln!("--out needs a file");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--check" => match it.next() {
-                Some(p) => check_path = Some(p.clone()),
-                None => {
-                    eprintln!("--check needs a baseline file");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown option `{other}` (try --out FILE | --check FILE)");
-                return ExitCode::FAILURE;
-            }
+    let BenchArgs {
+        out: out_path,
+        check: check_path,
+    } = match BenchArgs::parse(std::env::args().skip(1), "BENCH_multicube.json") {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
         }
-    }
+    };
 
     let started = Instant::now();
     let rendered = match run() {
@@ -153,23 +137,11 @@ fn main() -> ExitCode {
     println!("wrote {out_path}");
 
     if let Some(path) = check_path {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("multicube: cannot read baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let Some(ceiling) = camps_bench::baseline_value(&text, None, "multicube_ceiling") else {
-            eprintln!("multicube: baseline {path} has no multicube_ceiling entry");
-            return ExitCode::FAILURE;
-        };
-        let total = started.elapsed().as_secs_f64();
-        if total > ceiling {
-            eprintln!("multicube: wall time {total:.1}s exceeds the {ceiling:.0}s ceiling");
+        let elapsed = started.elapsed().as_secs_f64();
+        if let Err(e) = check_wall_ceiling(&path, "multicube_ceiling", elapsed) {
+            eprintln!("multicube: {e}");
             return ExitCode::FAILURE;
         }
-        println!("check: {total:.1}s within the {ceiling:.0}s ceiling");
     }
     ExitCode::SUCCESS
 }

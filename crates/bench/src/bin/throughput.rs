@@ -41,6 +41,7 @@
 use camps::metrics::RunResult;
 use camps::system::Engine;
 use camps::System;
+use camps_bench::{baseline_value, read_baseline, BenchArgs};
 use camps_cpu::trace::{TraceOp, TraceSource, VecTrace};
 use camps_obs::{ObsConfig, ProfileSummary};
 use camps_prefetch::SchemeKind;
@@ -397,7 +398,7 @@ fn render(entries: &[Entry], o: &Overhead) -> String {
 /// Applies the three `--check` gates; returns every failure.
 fn check(baseline: &str, entries: &[Entry], o: &Overhead) -> Vec<String> {
     let mut failures = Vec::new();
-    match camps_bench::baseline_value(baseline, Some("idle-heavy"), "event_over_polling") {
+    match baseline_value(baseline, Some("idle-heavy"), "event_over_polling") {
         Some(expected) => {
             let measured = event_over_polling(entries, "idle-heavy");
             let floor = expected * CHECK_FLOOR;
@@ -411,7 +412,7 @@ fn check(baseline: &str, entries: &[Entry], o: &Overhead) -> Vec<String> {
         }
         None => failures.push("baseline has no idle-heavy event_over_polling".into()),
     }
-    match camps_bench::baseline_value(baseline, Some(OBS_WORKLOAD), "obs_over_plain") {
+    match baseline_value(baseline, Some(OBS_WORKLOAD), "obs_over_plain") {
         Some(expected) => {
             let ceiling = expected * OVERHEAD_CEILING;
             println!(
@@ -440,32 +441,16 @@ fn check(baseline: &str, entries: &[Entry], o: &Overhead) -> Vec<String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path = String::from("BENCH_engine.json");
-    let mut check_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => match it.next() {
-                Some(p) => out_path = p.clone(),
-                None => {
-                    eprintln!("--out needs a file");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--check" => match it.next() {
-                Some(p) => check_path = Some(p.clone()),
-                None => {
-                    eprintln!("--check needs a baseline file");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown option `{other}` (try --out FILE | --check FILE)");
-                return ExitCode::FAILURE;
-            }
+    let BenchArgs {
+        out: out_path,
+        check: check_path,
+    } = match BenchArgs::parse(std::env::args().skip(1), "BENCH_engine.json") {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
         }
-    }
+    };
 
     let (entries, overhead) = match measure_all() {
         Ok(m) => m,
@@ -483,10 +468,10 @@ fn main() -> ExitCode {
     let Some(path) = check_path else {
         return ExitCode::SUCCESS;
     };
-    let baseline = match std::fs::read_to_string(&path) {
+    let baseline = match read_baseline(&path) {
         Ok(t) => t,
         Err(e) => {
-            eprintln!("throughput: cannot read baseline {path}: {e}");
+            eprintln!("throughput: {e}");
             return ExitCode::FAILURE;
         }
     };

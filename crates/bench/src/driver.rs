@@ -125,6 +125,9 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) -> PathBuf {
     path
 }
 
+/// A configuration run under one scheme, labelled for its table row.
+pub type Variant = (String, SystemConfig, SchemeKind);
+
 /// Ablation helper: runs `scheme` on the given mixes under each labeled
 /// configuration variant and returns one geomean-IPC row per variant
 /// (columns = mixes, in order).
@@ -134,10 +137,7 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) -> PathBuf {
 /// an interrupted ablation resumes at the first un-journaled cell. Jobs
 /// within a variant run in parallel under the sweep supervisor.
 #[must_use]
-pub fn ablation_sweep(
-    variants: &[(String, SystemConfig, SchemeKind)],
-    mix_ids: &[&str],
-) -> Vec<(String, Vec<f64>)> {
+pub fn ablation_sweep(variants: &[Variant], mix_ids: &[&str]) -> Vec<(String, Vec<f64>)> {
     let mixes: Vec<Mix> = mix_ids
         .iter()
         .map(|id| *Mix::by_id(id).expect("known mix"))

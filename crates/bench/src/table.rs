@@ -121,7 +121,7 @@ mod tests {
     }
 }
 
-/// Renders a labeled horizontal ASCII bar chart — the figure benches use
+/// Renders a labeled horizontal ASCII bar chart — Figure 5 uses
 /// it to echo the paper's bar plots in the terminal.
 ///
 /// `rows` are `(label, value)`; bars are scaled to `width` columns against

@@ -18,6 +18,7 @@ use camps_types::config::SystemConfig;
 use camps_types::error::{IntegrityError, SimError, WatchdogReport};
 use camps_types::request::{AccessKind, CoreId, MemRequest, RequestId};
 use camps_types::wake::{fold_wake, Wake, WakeSource};
+use camps_vault::VaultStats;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -1037,15 +1038,8 @@ impl System {
         let mut buffer_capacity = 0u64;
         let mut rut_entries = 0u64;
         let mut ct_entries = 0u64;
-        let mut row_hits = 0u64;
-        let mut row_misses = 0u64;
-        let mut row_conflicts = 0u64;
-        let mut buffer_hits = 0u64;
-        let mut prefetches = 0u64;
-        let mut pf_useful = 0u64;
         let mut pf_unused_evictions = 0u64;
-        let mut worst_row_window_acts = 0u64;
-        let mut rowguard_mitigations = 0u64;
+        let mut stats = VaultStats::new();
         for v in topo.all_cubes().iter().flat_map(|c| c.vaults()) {
             vault_read_queue += v.read_queue_len() as u64;
             vault_write_queue += v.write_queue_len() as u64;
@@ -1055,17 +1049,8 @@ impl System {
             let (rut, ct) = v.table_occupancy();
             rut_entries += rut as u64;
             ct_entries += ct as u64;
-            let s = v.stats();
-            row_hits += s.row_hits.get();
-            row_misses += s.row_misses.get();
-            row_conflicts += s.row_conflicts.get();
-            buffer_hits += s.buffer_hits.get();
-            prefetches += s.prefetches.get();
-            pf_useful += s.prefetches_referenced.get();
             pf_unused_evictions += v.buffer_unused_evictions();
-            // Worst-case exposure is a max across vaults, like the merge.
-            worst_row_window_acts = worst_row_window_acts.max(s.worst_row_window_acts);
-            rowguard_mitigations += s.mitigations.get();
+            stats.merge(v.stats());
         }
         let (traced_reads, traced_cycles) = self.obs.traced_reads();
         self.obs.push_sample(MetricsSample {
@@ -1084,12 +1069,12 @@ impl System {
             buffer_capacity,
             rut_entries,
             ct_entries,
-            row_hits,
-            row_misses,
-            row_conflicts,
-            buffer_hits,
-            prefetches,
-            pf_useful,
+            row_hits: stats.row_hits.get(),
+            row_misses: stats.row_misses.get(),
+            row_conflicts: stats.row_conflicts.get(),
+            buffer_hits: stats.buffer_hits.get(),
+            prefetches: stats.prefetches.get(),
+            pf_useful: stats.prefetches_referenced.get(),
             pf_unused_evictions,
             amat_mem_mean: self.mem.amat_mem.mean().unwrap_or(0.0),
             traced_reads,
@@ -1098,8 +1083,8 @@ impl System {
             cycles_skipped: self.cycles_skipped,
             host_profile_ns: self.prof.host_ns(),
             spurious_wakes: self.prof.spurious_total(),
-            worst_row_window_acts,
-            rowguard_mitigations,
+            worst_row_window_acts: stats.worst_row_window_acts,
+            rowguard_mitigations: stats.mitigations.get(),
             cubes: topo.cubes() as u64,
             cube_link_inflight: topo.link_inflight() as u64,
             cube_host_queue: topo.host_queue_lens(),

@@ -91,12 +91,6 @@ impl Ratio {
         (self.total.get() > 0).then(|| self.hits.as_f64() / self.total.as_f64())
     }
 
-    /// The ratio, defaulting to 0 when empty.
-    #[must_use]
-    pub fn value_or_zero(self) -> f64 {
-        self.value().unwrap_or(0.0)
-    }
-
     /// Folds another ratio into this one.
     pub fn merge(&mut self, other: Ratio) {
         self.hits.merge(other.hits);
@@ -139,7 +133,6 @@ mod tests {
     #[test]
     fn empty_ratio_is_none() {
         assert_eq!(Ratio::new().value(), None);
-        assert_eq!(Ratio::new().value_or_zero(), 0.0);
     }
 
     #[test]

@@ -256,7 +256,9 @@ pub struct PrefetchBufferConfig {
     /// Aggressively push prefetched rows to the shared LLC over the serial
     /// links (the design the paper argues AGAINST in §2.4: it burns
     /// response-link bandwidth and pollutes the cache). Off by default;
-    /// the `ablate_push_llc` bench turns it on to test the claim.
+    /// the `ablate_push_llc` experiment (`cargo bench -p camps-bench
+    /// --bench experiments -- ablate_push_llc`) turns it on to test the
+    /// claim.
     #[serde(default)]
     pub push_to_llc: bool,
 }

@@ -1,7 +1,7 @@
 //! Per-vault statistics.
 
 use camps_dram::energy::EnergyCounters;
-use camps_stats::{Counter, Log2Histogram, Ratio};
+use camps_stats::{Counter, Log2Histogram};
 use serde::{Deserialize, Serialize};
 
 /// Everything one vault measures over a run. Merged across vaults by the
@@ -95,15 +95,6 @@ impl VaultStats {
     pub fn prefetch_accuracy(&self) -> Option<f64> {
         let issued = self.prefetches.get();
         (issued > 0).then(|| self.prefetches_referenced.as_f64() / issued as f64)
-    }
-
-    /// Fraction of demand traffic served by the prefetch buffer.
-    #[must_use]
-    pub fn buffer_hit_rate(&self) -> Ratio {
-        let mut r = Ratio::new();
-        r.hits.add(self.buffer_hits.get());
-        r.total.add(self.buffer_hits.get() + self.bank_accesses());
-        r
     }
 
     /// Folds another vault's stats into this one.
@@ -203,13 +194,5 @@ mod tests {
         assert_eq!(a.total_activations(), 17);
         assert_eq!(a.worst_row_window_acts, 90, "max, not sum");
         assert_eq!(a.mitigations.get(), 3);
-    }
-
-    #[test]
-    fn buffer_hit_rate_combines_buffer_and_bank_traffic() {
-        let mut s = VaultStats::new();
-        s.buffer_hits.add(3);
-        s.row_hits.add(1);
-        assert_eq!(s.buffer_hit_rate().value(), Some(0.75));
     }
 }
