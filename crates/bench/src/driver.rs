@@ -8,7 +8,8 @@ use camps_types::config::SystemConfig;
 use camps_workloads::{Mix, ALL_MIXES};
 use std::fs;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Once;
 
 /// Seed used by every figure run (fixed → figures are cross-comparable).
 pub const FIGURE_SEED: u64 = 0xCA3B5;
@@ -47,12 +48,23 @@ pub fn experiments_dir() -> PathBuf {
 /// (config hash, mix, scheme, seed, run length), so figure runs,
 /// ablation variants, and different `CAMPS_BENCH_SCALE`s all coexist in
 /// one append-only file without ever reusing the wrong result.
-/// `CAMPS_BENCH_FRESH=1` deletes it before running.
+/// `CAMPS_BENCH_FRESH=1` deletes it once per process, on the first call,
+/// so the matrices of one run still journal (and resume) as usual.
 #[must_use]
 pub fn bench_journal() -> PathBuf {
-    let path = experiments_dir().join("bench.journal.jsonl");
-    if std::env::var("CAMPS_BENCH_FRESH").is_ok() {
-        fs::remove_file(&path).ok();
+    static DISCARDED: Once = Once::new();
+    let fresh = std::env::var("CAMPS_BENCH_FRESH").is_ok();
+    journal_in(&experiments_dir(), fresh, &DISCARDED)
+}
+
+/// The journal path under `dir`; when `fresh`, the first call through
+/// `discarded` deletes the file and later calls leave it alone.
+fn journal_in(dir: &Path, fresh: bool, discarded: &Once) -> PathBuf {
+    let path = dir.join("bench.journal.jsonl");
+    if fresh {
+        discarded.call_once(|| {
+            fs::remove_file(&path).ok();
+        });
     }
     path
 }
@@ -68,8 +80,9 @@ fn journaled_matrix(
     schemes: &[SchemeKind],
     label: &str,
 ) -> Vec<RunResult> {
+    let journal = bench_journal();
     let policy = SweepPolicy {
-        journal_path: Some(bench_journal()),
+        journal_path: Some(journal.clone()),
         checkpoint_every: Some(2_000_000),
         ..SweepPolicy::default()
     };
@@ -90,7 +103,7 @@ fn journaled_matrix(
     eprintln!(
         "[journal] {label}: {} jobs ({reused} from journal) via {}",
         report.jobs.len(),
-        bench_journal().display()
+        journal.display()
     );
     results.into_iter().flatten().collect()
 }
@@ -166,6 +179,25 @@ mod tests {
         if std::env::var("CAMPS_BENCH_SCALE").is_err() {
             assert_eq!(bench_length(), RunLength::quick());
         }
+    }
+
+    #[test]
+    fn fresh_discards_the_journal_only_once() {
+        let dir = std::env::temp_dir().join(format!("camps-bench-fresh-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bench.journal.jsonl");
+        fs::write(&path, "stale\n").unwrap();
+        let discarded = Once::new();
+        assert_eq!(journal_in(&dir, true, &discarded), path);
+        assert!(!path.exists(), "FRESH discards the old journal");
+        fs::write(&path, "journaled\n").unwrap();
+        journal_in(&dir, true, &discarded);
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            "journaled\n",
+            "a later call in the same run must keep what was journaled"
+        );
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

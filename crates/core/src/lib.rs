@@ -47,7 +47,7 @@ pub use audit::RequestAuditor;
 pub use checkpoint::{read_snapshot, write_snapshot};
 pub use experiment::{run_mix, Run, RunLength, RunSpec};
 pub use hmc::HmcDevice;
-pub use metrics::{fairness, Fairness, RunResult};
+pub use metrics::RunResult;
 pub use sweep::{run_sweep, JobOutcome, JobRecord, SweepPolicy, SweepReport, SweepRun};
 pub use system::{Engine, System};
 pub use topology::Topology;

@@ -112,46 +112,6 @@ impl RunResult {
     }
 }
 
-/// Standard multiprogrammed-fairness metrics, computed against a
-/// reference run of the same mix (typically NOPF or BASE): weighted
-/// speedup (system throughput), harmonic-mean speedup (fairness-weighted
-/// throughput), and maximum per-core slowdown (worst-case fairness).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Fairness {
-    /// Σᵢ IPCᵢ / IPCᵢ_ref — system throughput relative to the reference.
-    pub weighted_speedup: f64,
-    /// n / Σᵢ (IPCᵢ_ref / IPCᵢ) — harmonic mean of per-core speedups.
-    pub harmonic_speedup: f64,
-    /// maxᵢ (IPCᵢ_ref / IPCᵢ) — the most-slowed core's slowdown.
-    pub max_slowdown: f64,
-}
-
-/// Computes fairness metrics of `run` against `reference` (same mix, same
-/// core order). Returns `None` on shape mismatch or non-positive IPCs.
-#[must_use]
-pub fn fairness(run: &RunResult, reference: &RunResult) -> Option<Fairness> {
-    if run.ipc.len() != reference.ipc.len() || run.ipc.is_empty() {
-        return None;
-    }
-    if run.ipc.iter().chain(&reference.ipc).any(|&x| x <= 0.0) {
-        return None;
-    }
-    let n = run.ipc.len() as f64;
-    let weighted: f64 = run.ipc.iter().zip(&reference.ipc).map(|(a, b)| a / b).sum();
-    let inv_sum: f64 = run.ipc.iter().zip(&reference.ipc).map(|(a, b)| b / a).sum();
-    let max_slowdown = run
-        .ipc
-        .iter()
-        .zip(&reference.ipc)
-        .map(|(a, b)| b / a)
-        .fold(0.0f64, f64::max);
-    Some(Fairness {
-        weighted_speedup: weighted / n,
-        harmonic_speedup: n / inv_sum,
-        max_slowdown,
-    })
-}
-
 /// Normalized-speedup entry for one (mix, scheme) cell of Figure 5.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SpeedupCell {
@@ -235,40 +195,6 @@ mod tests {
             amplification: None,
             profile: None,
         }
-    }
-
-    #[test]
-    fn fairness_of_identical_runs_is_unity() {
-        let a = result("HM1", SchemeKind::Base, 1.5);
-        let f = fairness(&a, &a).unwrap();
-        assert!((f.weighted_speedup - 1.0).abs() < 1e-12);
-        assert!((f.harmonic_speedup - 1.0).abs() < 1e-12);
-        assert!((f.max_slowdown - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fairness_detects_asymmetric_slowdown() {
-        let reference = result("HM1", SchemeKind::Base, 1.0);
-        let mut run = result("HM1", SchemeKind::CampsMod, 1.0);
-        run.ipc[0] = 0.5; // one core halved, others unchanged
-        let f = fairness(&run, &reference).unwrap();
-        assert!((f.max_slowdown - 2.0).abs() < 1e-12);
-        assert!(f.weighted_speedup < 1.0);
-        assert!(
-            f.harmonic_speedup < f.weighted_speedup,
-            "harmonic punishes outliers"
-        );
-    }
-
-    #[test]
-    fn fairness_rejects_mismatched_or_degenerate_input() {
-        let a = result("HM1", SchemeKind::Base, 1.0);
-        let mut b = result("HM1", SchemeKind::Base, 1.0);
-        b.ipc.pop();
-        assert!(fairness(&a, &b).is_none());
-        let mut z = result("HM1", SchemeKind::Base, 1.0);
-        z.ipc[3] = 0.0;
-        assert!(fairness(&z, &a).is_none());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! [`TraceHandle`]: crate::TraceHandle
 
 use crate::breakdown::{StageBreakdown, StageLatency};
-use crate::metrics::{MetricsFormat, MetricsSample, CSV_HEADER};
+use crate::metrics::{MetricsFormat, MetricsSample};
 use crate::stage::{Point, ReqClass, Stage, STAGE_COUNT};
 use crate::{ExportReport, ObsConfig, TRACE_RING_DEFAULT};
 use camps_stats::{Log2Histogram, Running};
@@ -417,7 +417,7 @@ impl ObsCore {
         let mut out = String::new();
         match format {
             MetricsFormat::Csv => {
-                out.push_str(CSV_HEADER);
+                out.push_str(&MetricsSample::csv_header());
                 out.push('\n');
                 for s in &self.samples {
                     out.push_str(&s.csv_row());
@@ -620,7 +620,7 @@ mod tests {
         }
         assert_eq!(core.samples_len(), 4);
         let csv = core.render_metrics(MetricsFormat::Csv);
-        assert!(csv.starts_with(CSV_HEADER));
+        assert!(csv.starts_with(&MetricsSample::csv_header()));
         assert_eq!(csv.lines().count(), 5);
     }
 }

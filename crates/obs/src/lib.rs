@@ -19,11 +19,13 @@
 //!    along in `RunResult` — the per-stage AMAT decomposition behind the
 //!    paper's Figure 8 argument.
 //!
-//! The whole crate compiles out: with the `enabled` feature off (it is
-//! on by default) [`TraceHandle`] is a zero-sized type and every hook is
-//! an empty inline function. With the feature on but no handle installed
-//! (the default at runtime), each hook is a single `Option` test on a
-//! `None` — the perf-smoke gate asserts this stays free.
+//! The observers compile out: with the `enabled` feature off (it is on
+//! by default) every hook of [`TraceHandle`] and [`Profiler`] first
+//! tests a `const false`, so the branch folds away and the optimizer
+//! removes the hook. Both builds run the one implementation of each
+//! observer. With the feature on but no handle installed (the default
+//! at runtime), each hook is a single `Option` test on a `None` — the
+//! perf-smoke gate asserts this stays free.
 //!
 //! Stage sums telescope: for a demand read delivered at cycle `d` and
 //! issued at cycle `i`, the six stage durations add up to exactly
@@ -36,7 +38,6 @@
 #![warn(missing_docs)]
 
 mod breakdown;
-#[cfg(feature = "enabled")]
 mod core;
 mod metrics;
 mod profiler;
@@ -50,6 +51,12 @@ pub use stage::{Point, ReqClass, Stage, STAGE_COUNT};
 use camps_types::clock::Cycle;
 use camps_types::request::ServiceSource;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, PoisonError};
+
+/// True when the `enabled` feature compiled the observers in. Every
+/// hook tests it first, so with the feature off each one folds to a
+/// constant `false` branch and the optimizer removes it.
+const COMPILED: bool = cfg!(feature = "enabled");
 
 /// Default capacity of the trace ring buffer (events, oldest dropped).
 pub const TRACE_RING_DEFAULT: usize = 1 << 18;
@@ -121,25 +128,15 @@ fn unsupported() -> std::io::Error {
 /// the system, cube, and every vault can stamp into one tracer. The
 /// handle is deliberately *not* part of any `Snapshot`: checkpoints are
 /// byte-identical with and without observability.
-#[cfg(feature = "enabled")]
 #[derive(Clone, Default, Debug)]
-pub struct TraceHandle(Option<std::sync::Arc<std::sync::Mutex<core::ObsCore>>>);
+pub struct TraceHandle(Option<Arc<Mutex<core::ObsCore>>>);
 
-/// The hook object threaded through the simulator (compiled-out stub).
-/// Deliberately not `Copy`: call sites `.clone()` the handle exactly as
-/// they do for the Arc-backed real one, in both configurations.
-#[cfg(not(feature = "enabled"))]
-#[derive(Clone, Default, Debug)]
-pub struct TraceHandle;
-
-#[cfg(feature = "enabled")]
 impl TraceHandle {
-    /// An active handle configured by `cfg`.
+    /// An active handle configured by `cfg` (a disabled one when the
+    /// `enabled` feature is off).
     #[must_use]
     pub fn new(cfg: &ObsConfig) -> Self {
-        Self(Some(std::sync::Arc::new(std::sync::Mutex::new(
-            core::ObsCore::new(cfg),
-        ))))
+        Self(COMPILED.then(|| Arc::new(Mutex::new(core::ObsCore::new(cfg)))))
     }
 
     /// The default, do-nothing handle.
@@ -151,18 +148,21 @@ impl TraceHandle {
     /// True when this crate was built with the `enabled` feature.
     #[must_use]
     pub const fn compiled() -> bool {
-        true
+        COMPILED
     }
 
     /// True when this handle actually records anything.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
+        COMPILED && self.0.is_some()
     }
 
     fn with<R>(&self, f: impl FnOnce(&mut core::ObsCore) -> R) -> Option<R> {
+        if !COMPILED {
+            return None;
+        }
         self.0.as_ref().map(|m| {
-            let mut guard = m.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut guard = m.lock().unwrap_or_else(PoisonError::into_inner);
             f(&mut guard)
         })
     }
@@ -317,125 +317,32 @@ impl TraceHandle {
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-#[allow(clippy::unused_self, clippy::missing_const_for_fn)]
-impl TraceHandle {
-    /// An active handle (no-op in this build).
-    #[must_use]
-    pub fn new(_cfg: &ObsConfig) -> Self {
-        Self
-    }
+#[cfg(all(test, not(feature = "enabled")))]
+mod compiled_out_tests {
+    use super::*;
 
-    /// The default, do-nothing handle.
-    #[must_use]
-    pub fn disabled() -> Self {
-        Self
-    }
+    #[test]
+    fn hooks_are_inert_without_the_feature() {
+        assert!(!TraceHandle::compiled());
+        let cfg = ObsConfig {
+            trace_out: Some(PathBuf::from("unused.trace.json")),
+            metrics_every: Some(100),
+            ..ObsConfig::default()
+        };
+        let handle = TraceHandle::new(&cfg);
+        assert!(!handle.is_enabled());
+        handle.push_sample(MetricsSample::default());
+        assert_eq!(handle.samples(), 0);
+        assert!(handle.breakdown().is_none());
+        let err = handle
+            .export_trace(Path::new("unused.trace.json"))
+            .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::Unsupported);
 
-    /// True when this crate was built with the `enabled` feature.
-    #[must_use]
-    pub const fn compiled() -> bool {
-        false
-    }
-
-    /// Always false in this build.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        false
-    }
-
-    /// No-op.
-    #[inline]
-    pub fn issue(
-        &self,
-        _id: u64,
-        _core: u8,
-        _addr: u64,
-        _class: ReqClass,
-        _issue: Cycle,
-        _inject: Cycle,
-    ) {
-    }
-
-    /// No-op.
-    #[inline]
-    pub fn stamp(&self, _id: u64, _point: Point, _at: Cycle) {}
-
-    /// No-op.
-    #[inline]
-    pub fn cube_arrive(&self, _id: u64, _cube: u16, _at: Cycle) {}
-
-    /// No-op.
-    #[inline]
-    pub fn arrive(&self, _id: u64, _vault: u16, _at: Cycle) {}
-
-    /// No-op.
-    #[inline]
-    pub fn finish(&self, _id: u64, _source: ServiceSource, _at: Cycle) {}
-
-    /// No-op.
-    #[inline]
-    pub fn abort(&self, _id: u64) {}
-
-    /// No-op.
-    #[inline]
-    pub fn fetch_span(&self, _vault: u16, _bank: u32, _row: u64, _start: Cycle, _end: Cycle) {}
-
-    /// No-op.
-    #[inline]
-    pub fn mark(&self, _name: &'static str, _at: Cycle) {}
-
-    /// No-op.
-    #[inline]
-    pub fn instant(&self, _name: String, _at: Cycle) {}
-
-    /// No-op.
-    #[inline]
-    pub fn push_sample(&self, _sample: MetricsSample) {}
-
-    /// Always zero.
-    #[must_use]
-    pub fn traced_reads(&self) -> (u64, u64) {
-        (0, 0)
-    }
-
-    /// Always zero.
-    #[must_use]
-    pub fn samples(&self) -> u64 {
-        0
-    }
-
-    /// Always `None`.
-    #[must_use]
-    pub fn breakdown(&self) -> Option<StageBreakdown> {
-        None
-    }
-
-    /// Always `None`.
-    #[must_use]
-    pub fn render_trace_json(&self) -> Option<String> {
-        None
-    }
-
-    /// Always `None`.
-    #[must_use]
-    pub fn render_metrics(&self, _format: MetricsFormat) -> Option<String> {
-        None
-    }
-
-    /// Always fails: tracing is compiled out.
-    ///
-    /// # Errors
-    /// Always returns `ErrorKind::Unsupported`.
-    pub fn export_trace(&self, _path: &Path) -> std::io::Result<ExportReport> {
-        Err(unsupported())
-    }
-
-    /// Always fails: tracing is compiled out.
-    ///
-    /// # Errors
-    /// Always returns `ErrorKind::Unsupported`.
-    pub fn export_metrics(&self, _path: &Path) -> std::io::Result<u64> {
-        Err(unsupported())
+        let mut profiler = Profiler::enabled();
+        assert!(!profiler.is_enabled());
+        profiler.enter(Comp::RunLoop);
+        assert_eq!(profiler.exit(Comp::RunLoop), 0);
+        assert!(profiler.summary().is_none());
     }
 }

@@ -1,5 +1,6 @@
 //! The sampled metrics time-series.
 
+use serde::value::Value;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -119,66 +120,33 @@ pub struct MetricsSample {
     pub cube_host_queue: Vec<u64>,
 }
 
-/// Field order shared by the CSV header and rows — keep in sync with
-/// [`MetricsSample::csv_row`].
-// Only the feature-gated `core` module renders CSV; keep the encoding
-// next to the struct it mirrors even in compiled-out builds.
-#[cfg_attr(not(feature = "enabled"), allow(dead_code))]
-pub(crate) const CSV_HEADER: &str = "schema,cycle,retired,responses,mem_reads,buffer_served,\
-host_queue,mshr_in_flight,writeback_queue,vault_read_queue,vault_write_queue,buffer_rows,\
-buffer_capacity,rut_entries,ct_entries,row_hits,row_misses,row_conflicts,buffer_hits,\
-prefetches,pf_useful,pf_unused_evictions,amat_mem_mean,traced_reads,traced_cycles,wake_ticks,\
-cycles_skipped,host_profile_ns,spurious_wakes,worst_row_window_acts,rowguard_mitigations,cubes,\
-cube_link_inflight,cube_host_queue";
-
 impl MetricsSample {
-    /// One CSV row, field order matching [`CSV_HEADER`].
-    #[must_use]
-    #[cfg_attr(not(feature = "enabled"), allow(dead_code))]
+    /// The CSV header: the serialized field names, in declaration order.
+    pub(crate) fn csv_header() -> String {
+        csv_line(&Self::default(), |(name, _)| name.clone())
+    }
+
+    /// One CSV row, one cell per serialized field: integers as they
+    /// are, floats with three decimals, a sequence as one `;`-joined
+    /// cell so the column count stays fixed across cube counts.
     pub(crate) fn csv_row(&self) -> String {
-        let cube_host_queue = self
-            .cube_host_queue
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(";");
-        format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{},{},{},{},\
-             {},{},{},{},{},{},{cube_host_queue}",
-            self.schema,
-            self.cycle,
-            self.retired,
-            self.responses,
-            self.mem_reads,
-            self.buffer_served,
-            self.host_queue,
-            self.mshr_in_flight,
-            self.writeback_queue,
-            self.vault_read_queue,
-            self.vault_write_queue,
-            self.buffer_rows,
-            self.buffer_capacity,
-            self.rut_entries,
-            self.ct_entries,
-            self.row_hits,
-            self.row_misses,
-            self.row_conflicts,
-            self.buffer_hits,
-            self.prefetches,
-            self.pf_useful,
-            self.pf_unused_evictions,
-            self.amat_mem_mean,
-            self.traced_reads,
-            self.traced_cycles,
-            self.wake_ticks,
-            self.cycles_skipped,
-            self.host_profile_ns,
-            self.spurious_wakes,
-            self.worst_row_window_acts,
-            self.rowguard_mitigations,
-            self.cubes,
-            self.cube_link_inflight,
-        )
+        csv_line(self, |(_, value)| csv_cell(value))
+    }
+}
+
+/// Joins one cell per field of `sample`'s serialized map with commas.
+fn csv_line(sample: &MetricsSample, cell: impl Fn(&(String, Value)) -> String) -> String {
+    let value = sample.to_value();
+    let fields = value.as_map().unwrap_or_default();
+    fields.iter().map(cell).collect::<Vec<_>>().join(",")
+}
+
+fn csv_cell(value: &Value) -> String {
+    match value {
+        Value::U64(x) => x.to_string(),
+        Value::F64(x) => format!("{x:.3}"),
+        Value::Seq(items) => items.iter().map(csv_cell).collect::<Vec<_>>().join(";"),
+        other => unreachable!("MetricsSample has no {other:?} field"),
     }
 }
 
@@ -187,13 +155,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn csv_header_matches_row_arity() {
-        let row = MetricsSample::default().csv_row();
-        assert_eq!(
-            CSV_HEADER.split(',').count(),
-            row.split(',').count(),
-            "CSV header and row field counts diverged"
-        );
+    fn csv_is_derived_from_the_serialized_fields() {
+        let names: Vec<String> = MetricsSample::default()
+            .to_value()
+            .as_map()
+            .unwrap()
+            .iter()
+            .map(|(name, _)| name.clone())
+            .collect();
+        let header = MetricsSample::csv_header();
+        assert_eq!(header.split(',').collect::<Vec<_>>(), names);
+        assert!(header.starts_with("schema,cycle,retired,"));
+        assert!(header.ends_with(",cubes,cube_link_inflight,cube_host_queue"));
+
+        let s = MetricsSample {
+            cycle: 500,
+            amat_mem_mean: 211.5,
+            cubes: 3,
+            cube_host_queue: vec![4, 0, 7],
+            ..MetricsSample::default()
+        };
+        let row = s.csv_row();
+        let cells: Vec<&str> = row.split(',').collect();
+        assert_eq!(cells.len(), names.len());
+        let cell = |name: &str| cells[names.iter().position(|n| n == name).unwrap()];
+        assert_eq!(cell("cycle"), "500");
+        assert_eq!(cell("amat_mem_mean"), "211.500");
+        assert_eq!(cell("cube_host_queue"), "4;0;7");
     }
 
     #[test]

@@ -22,19 +22,21 @@
 //!   lap: the inner time would be counted twice.
 //!
 //! Like [`TraceHandle`](crate::TraceHandle), the profiler compiles out:
-//! with the `enabled` feature off it is a zero-sized unit struct and
-//! every method is an inline no-op, so `RunResult` stays bit-identical
-//! and the hot loop pays nothing. With the feature on but the profiler
-//! off (the default), every method is one branch on a `bool`.
+//! every method first tests whether it is on, and with the `enabled`
+//! feature off that test is a `const false`, so the branch folds away,
+//! [`Profiler::enabled`] records nothing, and `RunResult` stays
+//! bit-identical. With the feature on but the profiler off (the
+//! default), every method is one branch on a `bool`.
 //!
-//! The aggregate ([`ProfileSummary`]) is plain serializable data,
-//! compiled in **both** feature modes: it rides in `RunResult.profile`
+//! The aggregate ([`ProfileSummary`]) is plain serializable data: it
+//! rides in `RunResult.profile`
 //! and renders as a summary table or as collapsed folded-stack text
 //! (`component;sub;leaf ns`) loadable by standard flamegraph tooling.
 
-#[cfg(not(feature = "enabled"))]
+use crate::COMPILED;
 use camps_types::wake::WakeSource;
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 
 /// A profiled simulator component. Variants mirror the span tree the
 /// system layer builds; [`Comp::name`] is the stable label used in
@@ -263,388 +265,301 @@ impl ProfileSummary {
     }
 }
 
-#[cfg(feature = "enabled")]
-pub use real::Profiler;
+const NO_PARENT: usize = usize::MAX;
 
-#[cfg(feature = "enabled")]
-mod real {
-    use super::{Comp, ProfileNode, ProfileSummary, WakeSourceStat};
-    use camps_types::wake::WakeSource;
-    use std::time::Instant;
-
-    const NO_PARENT: usize = usize::MAX;
-
-    #[derive(Debug)]
-    struct Node {
-        comp: Comp,
-        children: Vec<usize>,
-        incl_ns: u64,
-        excl_ns: u64,
-        count: u64,
-    }
-
-    #[derive(Debug, Clone, Copy)]
-    struct Frame {
-        node: usize,
-        start_ns: u64,
-        child_ns: u64,
-    }
-
-    #[derive(Debug, Clone, Copy, Default)]
-    struct WakeAcc {
-        wakes: u64,
-        productive: u64,
-        spurious: u64,
-        cycles_skipped: u64,
-    }
-
-    /// The self-profiler (real implementation; the `enabled` feature is
-    /// on). All methods are a single `bool` test when the profiler is
-    /// off, which is the default everywhere.
-    #[derive(Debug)]
-    pub struct Profiler {
-        enabled: bool,
-        origin: Instant,
-        nodes: Vec<Node>,
-        roots: Vec<usize>,
-        stack: Vec<Frame>,
-        wake: [WakeAcc; WakeSource::COUNT],
-        pending: Option<WakeSource>,
-        backoff_engagements: u64,
-        spurious_total: u64,
-    }
-
-    impl Profiler {
-        /// A disabled profiler: every call is one branch and a return.
-        #[must_use]
-        pub fn off() -> Self {
-            Profiler {
-                enabled: false,
-                origin: Instant::now(),
-                nodes: Vec::new(),
-                roots: Vec::new(),
-                stack: Vec::new(),
-                wake: [WakeAcc::default(); WakeSource::COUNT],
-                pending: None,
-                backoff_engagements: 0,
-                spurious_total: 0,
-            }
-        }
-
-        /// An enabled profiler; the clock origin is the call instant.
-        #[must_use]
-        pub fn enabled() -> Self {
-            let mut p = Self::off();
-            p.enabled = true;
-            p
-        }
-
-        /// True when spans are being recorded.
-        #[must_use]
-        pub fn is_enabled(&self) -> bool {
-            self.enabled
-        }
-
-        /// Nanoseconds since the profiler was created (0 when off).
-        /// Also the starting stamp for a [`lap`](Self::lap) chain.
-        #[inline]
-        #[must_use]
-        pub fn stamp(&self) -> u64 {
-            if !self.enabled {
-                return 0;
-            }
-            self.now_ns()
-        }
-
-        fn now_ns(&self) -> u64 {
-            let d = self.origin.elapsed();
-            d.as_secs() * 1_000_000_000 + u64::from(d.subsec_nanos())
-        }
-
-        /// Child of the current open frame (or a root) for `comp`,
-        /// creating it on first use.
-        fn node_for(&mut self, comp: Comp) -> usize {
-            let parent = self.stack.last().map_or(NO_PARENT, |f| f.node);
-            let siblings = if parent == NO_PARENT {
-                &self.roots
-            } else {
-                &self.nodes[parent].children
-            };
-            if let Some(&id) = siblings.iter().find(|&&id| self.nodes[id].comp == comp) {
-                return id;
-            }
-            let id = self.nodes.len();
-            self.nodes.push(Node {
-                comp,
-                children: Vec::new(),
-                incl_ns: 0,
-                excl_ns: 0,
-                count: 0,
-            });
-            if parent == NO_PARENT {
-                self.roots.push(id);
-            } else {
-                self.nodes[parent].children.push(id);
-            }
-            id
-        }
-
-        /// Opens a span for a phase that contains nested spans.
-        #[inline]
-        pub fn enter(&mut self, comp: Comp) {
-            if !self.enabled {
-                return;
-            }
-            let start_ns = self.now_ns();
-            let node = self.node_for(comp);
-            self.stack.push(Frame {
-                node,
-                start_ns,
-                child_ns: 0,
-            });
-        }
-
-        /// Closes the span opened by the matching [`enter`](Self::enter).
-        /// Returns the close timestamp so a `lap` chain can continue
-        /// from it without a second clock read (0 when off).
-        #[inline]
-        pub fn exit(&mut self, comp: Comp) -> u64 {
-            if !self.enabled {
-                return 0;
-            }
-            let now = self.now_ns();
-            let Some(frame) = self.stack.pop() else {
-                return now;
-            };
-            debug_assert_eq!(
-                self.nodes[frame.node].comp, comp,
-                "unbalanced profiler span"
-            );
-            let d = now.saturating_sub(frame.start_ns);
-            let n = &mut self.nodes[frame.node];
-            n.incl_ns += d;
-            n.excl_ns += d.saturating_sub(frame.child_ns);
-            n.count += 1;
-            if let Some(parent) = self.stack.last_mut() {
-                parent.child_ns += d;
-            }
-            now
-        }
-
-        /// Charges `now - prev` to a *leaf* child `comp` of the open
-        /// frame and returns `now` for the next lap. One clock read
-        /// per phase boundary; `prev` comes from [`stamp`](Self::stamp),
-        /// a previous `lap`, or an [`exit`](Self::exit) return value.
-        #[inline]
-        pub fn lap(&mut self, comp: Comp, prev: u64) -> u64 {
-            if !self.enabled {
-                return 0;
-            }
-            let now = self.now_ns();
-            let d = now.saturating_sub(prev);
-            let node = self.node_for(comp);
-            let n = &mut self.nodes[node];
-            n.incl_ns += d;
-            n.excl_ns += d;
-            n.count += 1;
-            if let Some(parent) = self.stack.last_mut() {
-                parent.child_ns += d;
-            }
-            now
-        }
-
-        /// Event engine: `source` won the wake fold and the engine
-        /// jumped over `skipped` idle cycles. The productive/spurious
-        /// verdict arrives via [`note_outcome`](Self::note_outcome)
-        /// after the tick body runs.
-        #[inline]
-        pub fn note_jump(&mut self, source: WakeSource, skipped: u64) {
-            if !self.enabled {
-                return;
-            }
-            let acc = &mut self.wake[source as usize];
-            acc.wakes += 1;
-            acc.cycles_skipped += skipped;
-            self.pending = Some(source);
-        }
-
-        /// Event engine: the tick after the last jump did (not) make
-        /// observable progress.
-        #[inline]
-        pub fn note_outcome(&mut self, productive: bool) {
-            if !self.enabled {
-                return;
-            }
-            let Some(source) = self.pending.take() else {
-                return;
-            };
-            let acc = &mut self.wake[source as usize];
-            if productive {
-                acc.productive += 1;
-            } else {
-                acc.spurious += 1;
-                self.spurious_total += 1;
-            }
-        }
-
-        /// Event engine: a scan-backoff window (forced dense ticks)
-        /// engaged.
-        #[inline]
-        pub fn note_backoff_engaged(&mut self) {
-            if self.enabled {
-                self.backoff_engagements += 1;
-            }
-        }
-
-        /// Total spurious wakes so far (metrics time-series column).
-        #[must_use]
-        pub fn spurious_total(&self) -> u64 {
-            self.spurious_total
-        }
-
-        /// Nanoseconds of host wall clock since profiling started
-        /// (metrics time-series column; 0 when off).
-        #[must_use]
-        pub fn host_ns(&self) -> u64 {
-            self.stamp()
-        }
-
-        /// The aggregated summary, `None` when the profiler is off.
-        /// Any still-open frames are ignored (call after the run loop).
-        #[must_use]
-        pub fn summary(&self) -> Option<ProfileSummary> {
-            if !self.enabled {
-                return None;
-            }
-            let mut nodes = Vec::with_capacity(self.nodes.len());
-            // Depth-first from the roots so parents precede children.
-            let mut work: Vec<(usize, String)> = self
-                .roots
-                .iter()
-                .rev()
-                .map(|&id| (id, String::new()))
-                .collect();
-            while let Some((id, prefix)) = work.pop() {
-                let n = &self.nodes[id];
-                let path = if prefix.is_empty() {
-                    n.comp.name().to_string()
-                } else {
-                    format!("{prefix};{}", n.comp.name())
-                };
-                nodes.push(ProfileNode {
-                    path: path.clone(),
-                    comp: n.comp.name().to_string(),
-                    incl_ns: n.incl_ns,
-                    excl_ns: n.excl_ns,
-                    count: n.count,
-                });
-                for &c in n.children.iter().rev() {
-                    work.push((c, path.clone()));
-                }
-            }
-            let total_ns = self.roots.iter().map(|&id| self.nodes[id].incl_ns).sum();
-            let wake_sources = WakeSource::ALL
-                .iter()
-                .zip(self.wake.iter())
-                .filter(|(_, acc)| acc.wakes > 0)
-                .map(|(src, acc)| WakeSourceStat {
-                    source: src.name().to_string(),
-                    wakes: acc.wakes,
-                    productive: acc.productive,
-                    spurious: acc.spurious,
-                    cycles_skipped: acc.cycles_skipped,
-                })
-                .collect();
-            Some(ProfileSummary {
-                total_ns,
-                nodes,
-                wake_sources,
-                backoff_engagements: self.backoff_engagements,
-            })
-        }
-    }
+#[derive(Debug)]
+struct Node {
+    comp: Comp,
+    children: Vec<usize>,
+    incl_ns: u64,
+    excl_ns: u64,
+    count: u64,
 }
 
-/// The self-profiler (compiled-out stub: the `enabled` feature is off).
-/// Zero-sized; every method is an inline no-op, so span call sites
-/// vanish entirely and results stay bit-identical to an unprofiled
-/// build.
-#[cfg(not(feature = "enabled"))]
-#[derive(Debug)]
-pub struct Profiler;
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    node: usize,
+    start_ns: u64,
+    child_ns: u64,
+}
 
-#[cfg(not(feature = "enabled"))]
-#[allow(clippy::unused_self, clippy::missing_const_for_fn)]
+#[derive(Debug, Clone, Copy, Default)]
+struct WakeAcc {
+    wakes: u64,
+    productive: u64,
+    spurious: u64,
+    cycles_skipped: u64,
+}
+
+/// The self-profiler. All methods are a single `bool` test when the
+/// profiler is off, which is the default everywhere, and a constant
+/// `false` test when the `enabled` feature is off.
+#[derive(Debug)]
+pub struct Profiler {
+    enabled: bool,
+    origin: Instant,
+    nodes: Vec<Node>,
+    roots: Vec<usize>,
+    stack: Vec<Frame>,
+    wake: [WakeAcc; WakeSource::COUNT],
+    pending: Option<WakeSource>,
+    backoff_engagements: u64,
+    spurious_total: u64,
+}
+
 impl Profiler {
-    /// A disabled profiler (the only kind in this build).
+    /// A disabled profiler: every call is one branch and a return.
     #[must_use]
     pub fn off() -> Self {
-        Profiler
+        Profiler {
+            enabled: false,
+            origin: Instant::now(),
+            nodes: Vec::new(),
+            roots: Vec::new(),
+            stack: Vec::new(),
+            wake: [WakeAcc::default(); WakeSource::COUNT],
+            pending: None,
+            backoff_engagements: 0,
+            spurious_total: 0,
+        }
     }
 
-    /// "Enabled" profiler — still a no-op in this build.
+    /// An enabled profiler; the clock origin is the call instant. With
+    /// the `enabled` feature off it records nothing.
     #[must_use]
     pub fn enabled() -> Self {
-        Profiler
+        let mut p = Self::off();
+        p.enabled = true;
+        p
     }
 
-    /// Always false in this build.
+    /// True when spans are being recorded.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
-        false
+        self.on()
     }
 
-    /// Always 0.
+    #[inline]
+    fn on(&self) -> bool {
+        COMPILED && self.enabled
+    }
+
+    /// Nanoseconds since the profiler was created (0 when off).
+    /// Also the starting stamp for a [`lap`](Self::lap) chain.
     #[inline]
     #[must_use]
     pub fn stamp(&self) -> u64 {
-        0
+        if !self.on() {
+            return 0;
+        }
+        self.now_ns()
     }
 
-    /// No-op.
-    #[inline]
-    pub fn enter(&mut self, _comp: Comp) {}
-
-    /// No-op; always 0.
-    #[inline]
-    pub fn exit(&mut self, _comp: Comp) -> u64 {
-        0
+    fn now_ns(&self) -> u64 {
+        let d = self.origin.elapsed();
+        d.as_secs() * 1_000_000_000 + u64::from(d.subsec_nanos())
     }
 
-    /// No-op; always 0.
-    #[inline]
-    pub fn lap(&mut self, _comp: Comp, _prev: u64) -> u64 {
-        0
+    /// Child of the current open frame (or a root) for `comp`,
+    /// creating it on first use.
+    fn node_for(&mut self, comp: Comp) -> usize {
+        let parent = self.stack.last().map_or(NO_PARENT, |f| f.node);
+        let siblings = if parent == NO_PARENT {
+            &self.roots
+        } else {
+            &self.nodes[parent].children
+        };
+        if let Some(&id) = siblings.iter().find(|&&id| self.nodes[id].comp == comp) {
+            return id;
+        }
+        let id = self.nodes.len();
+        self.nodes.push(Node {
+            comp,
+            children: Vec::new(),
+            incl_ns: 0,
+            excl_ns: 0,
+            count: 0,
+        });
+        if parent == NO_PARENT {
+            self.roots.push(id);
+        } else {
+            self.nodes[parent].children.push(id);
+        }
+        id
     }
 
-    /// No-op.
+    /// Opens a span for a phase that contains nested spans.
     #[inline]
-    pub fn note_jump(&mut self, _source: WakeSource, _skipped: u64) {}
+    pub fn enter(&mut self, comp: Comp) {
+        if !self.on() {
+            return;
+        }
+        let start_ns = self.now_ns();
+        let node = self.node_for(comp);
+        self.stack.push(Frame {
+            node,
+            start_ns,
+            child_ns: 0,
+        });
+    }
 
-    /// No-op.
+    /// Closes the span opened by the matching [`enter`](Self::enter).
+    /// Returns the close timestamp so a `lap` chain can continue
+    /// from it without a second clock read (0 when off).
     #[inline]
-    pub fn note_outcome(&mut self, _productive: bool) {}
+    pub fn exit(&mut self, comp: Comp) -> u64 {
+        if !self.on() {
+            return 0;
+        }
+        let now = self.now_ns();
+        let Some(frame) = self.stack.pop() else {
+            return now;
+        };
+        debug_assert_eq!(
+            self.nodes[frame.node].comp, comp,
+            "unbalanced profiler span"
+        );
+        let d = now.saturating_sub(frame.start_ns);
+        let n = &mut self.nodes[frame.node];
+        n.incl_ns += d;
+        n.excl_ns += d.saturating_sub(frame.child_ns);
+        n.count += 1;
+        if let Some(parent) = self.stack.last_mut() {
+            parent.child_ns += d;
+        }
+        now
+    }
 
-    /// No-op.
+    /// Charges `now - prev` to a *leaf* child `comp` of the open
+    /// frame and returns `now` for the next lap. One clock read
+    /// per phase boundary; `prev` comes from [`stamp`](Self::stamp),
+    /// a previous `lap`, or an [`exit`](Self::exit) return value.
     #[inline]
-    pub fn note_backoff_engaged(&mut self) {}
+    pub fn lap(&mut self, comp: Comp, prev: u64) -> u64 {
+        if !self.on() {
+            return 0;
+        }
+        let now = self.now_ns();
+        let d = now.saturating_sub(prev);
+        let node = self.node_for(comp);
+        let n = &mut self.nodes[node];
+        n.incl_ns += d;
+        n.excl_ns += d;
+        n.count += 1;
+        if let Some(parent) = self.stack.last_mut() {
+            parent.child_ns += d;
+        }
+        now
+    }
 
-    /// Always 0.
+    /// Event engine: `source` won the wake fold and the engine
+    /// jumped over `skipped` idle cycles. The productive/spurious
+    /// verdict arrives via [`note_outcome`](Self::note_outcome)
+    /// after the tick body runs.
+    #[inline]
+    pub fn note_jump(&mut self, source: WakeSource, skipped: u64) {
+        if !self.on() {
+            return;
+        }
+        let acc = &mut self.wake[source as usize];
+        acc.wakes += 1;
+        acc.cycles_skipped += skipped;
+        self.pending = Some(source);
+    }
+
+    /// Event engine: the tick after the last jump did (not) make
+    /// observable progress.
+    #[inline]
+    pub fn note_outcome(&mut self, productive: bool) {
+        if !self.on() {
+            return;
+        }
+        let Some(source) = self.pending.take() else {
+            return;
+        };
+        let acc = &mut self.wake[source as usize];
+        if productive {
+            acc.productive += 1;
+        } else {
+            acc.spurious += 1;
+            self.spurious_total += 1;
+        }
+    }
+
+    /// Event engine: a scan-backoff window (forced dense ticks)
+    /// engaged.
+    #[inline]
+    pub fn note_backoff_engaged(&mut self) {
+        if self.on() {
+            self.backoff_engagements += 1;
+        }
+    }
+
+    /// Total spurious wakes so far (metrics time-series column).
     #[must_use]
     pub fn spurious_total(&self) -> u64 {
-        0
+        self.spurious_total
     }
 
-    /// Always 0.
+    /// Nanoseconds of host wall clock since profiling started
+    /// (metrics time-series column; 0 when off).
     #[must_use]
     pub fn host_ns(&self) -> u64 {
-        0
+        self.stamp()
     }
 
-    /// Always `None`.
+    /// The aggregated summary, `None` when the profiler is off.
+    /// Any still-open frames are ignored (call after the run loop).
     #[must_use]
     pub fn summary(&self) -> Option<ProfileSummary> {
-        None
+        if !self.on() {
+            return None;
+        }
+        let mut nodes = Vec::with_capacity(self.nodes.len());
+        // Depth-first from the roots so parents precede children.
+        let mut work: Vec<(usize, String)> = self
+            .roots
+            .iter()
+            .rev()
+            .map(|&id| (id, String::new()))
+            .collect();
+        while let Some((id, prefix)) = work.pop() {
+            let n = &self.nodes[id];
+            let path = if prefix.is_empty() {
+                n.comp.name().to_string()
+            } else {
+                format!("{prefix};{}", n.comp.name())
+            };
+            nodes.push(ProfileNode {
+                path: path.clone(),
+                comp: n.comp.name().to_string(),
+                incl_ns: n.incl_ns,
+                excl_ns: n.excl_ns,
+                count: n.count,
+            });
+            for &c in n.children.iter().rev() {
+                work.push((c, path.clone()));
+            }
+        }
+        let total_ns = self.roots.iter().map(|&id| self.nodes[id].incl_ns).sum();
+        let wake_sources = WakeSource::ALL
+            .iter()
+            .zip(self.wake.iter())
+            .filter(|(_, acc)| acc.wakes > 0)
+            .map(|(src, acc)| WakeSourceStat {
+                source: src.name().to_string(),
+                wakes: acc.wakes,
+                productive: acc.productive,
+                spurious: acc.spurious,
+                cycles_skipped: acc.cycles_skipped,
+            })
+            .collect();
+        Some(ProfileSummary {
+            total_ns,
+            nodes,
+            wake_sources,
+            backoff_engagements: self.backoff_engagements,
+        })
     }
 }
 

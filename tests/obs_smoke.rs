@@ -224,8 +224,8 @@ fn stage_breakdown_reconciles_with_amat_on_merge_free_reads() {
 /// exactly to the measured root wall time), the expected component
 /// paths must appear, the event engine must report per-wake-source
 /// dispatch accounting, and `--profile-out` must yield parseable
-/// folded-stack lines. When built `--no-default-features` every hook is
-/// a stub and the same run yields no profile at all — the identity
+/// folded-stack lines. When built `--no-default-features` every hook
+/// folds away and the same run yields no profile at all — the identity
 /// check holds in both modes.
 #[test]
 fn profiler_attributes_wall_time_without_perturbing_the_run() {
@@ -270,8 +270,12 @@ fn profiler_attributes_wall_time_without_perturbing_the_run() {
     std::fs::remove_file(&folded_path).ok();
 
     if !camps_obs::TraceHandle::compiled() {
-        // Stub build: hooks are no-ops, the file is written but empty.
-        assert!(summary.is_none(), "stub build must not produce a profile");
+        // Compiled-out build: hooks record nothing, the file is written
+        // but empty.
+        assert!(
+            summary.is_none(),
+            "compiled-out build must not produce a profile"
+        );
         return;
     }
 
