@@ -11,6 +11,8 @@
 //! speedup over same-pool NOPF (speedups compare like with like — a
 //! 4-cube CAMPS run is normalized to 4-cube NOPF, so the column isolates
 //! the *prefetcher's* contribution from the fabric's added latency).
+//! `cubes4_over_cubes1` is the 4-cube matrix's wall time over the
+//! 1-cube matrix's: what the extra cubes cost the host.
 //!
 //! ```text
 //! cargo run --release -p camps-bench --bin multicube [-- --out FILE]
@@ -59,6 +61,7 @@ fn run() -> Result<String, String> {
     let mixes = mixes();
     let len = RunLength::tiny();
     let mut body = String::from("{\n  \"benchmark\": \"multicube-scaling\",\n  \"pools\": [\n");
+    let mut walls = Vec::new();
     for (i, &cubes) in CUBE_COUNTS.iter().enumerate() {
         let mut cfg = SystemConfig::paper_default();
         cfg.topology.cubes = cubes;
@@ -78,6 +81,7 @@ fn run() -> Result<String, String> {
         }
         let results: Vec<_> = run.results.into_iter().flatten().collect();
         let wall = t0.elapsed().as_secs_f64();
+        walls.push(wall);
         let nopf = scheme_geomean(&results, SchemeKind::Nopf);
         let _ = write!(
             body,
@@ -106,7 +110,12 @@ fn run() -> Result<String, String> {
             if i + 1 == CUBE_COUNTS.len() { "" } else { "," }
         );
     }
-    body.push_str("  ]\n}\n");
+    let (first, last) = (CUBE_COUNTS[0], CUBE_COUNTS[CUBE_COUNTS.len() - 1]);
+    let _ = write!(
+        body,
+        "  ],\n  \"cubes{last}_over_cubes{first}\": {:.2}\n}}\n",
+        walls[walls.len() - 1] / walls[0]
+    );
     Ok(body)
 }
 

@@ -27,8 +27,9 @@ const HOST_QUEUE_DEPTH: usize = 64;
 /// The cube.
 ///
 /// Its snapshot skips the construction inputs re-derived from the config
-/// (`mapping`, `block_bytes`, `link_cfg`, `faults`) and the intra-tick
-/// scratch `vault_out`, empty between ticks.
+/// (`mapping`, `block_bytes`, `link_cfg`, `faults`), the intra-tick
+/// scratch `vault_out`, empty between ticks, and the runtime-only vault
+/// gate (`due`, `gated`, `vault_ticks`).
 #[derive(Serialize, Deserialize)]
 #[serde(check)]
 pub struct HmcDevice {
@@ -73,6 +74,18 @@ pub struct HmcDevice {
     /// The stall-fault instant has been emitted (emit-once latch).
     #[serde(skip)]
     stall_marked: bool,
+    /// Per-vault due cycle: while gated, a vault ticks only once `now`
+    /// reaches it (`Cycle::MAX`: quiescent until input arrives). Input
+    /// forces it to 0; a tick refreshes it.
+    #[serde(skip)]
+    due: Box<[Cycle]>,
+    /// Skip vaults that are not due (event engine). Off, every vault
+    /// ticks every cycle (the polling reference).
+    #[serde(skip)]
+    gated: bool,
+    /// Vault ticks run so far (a deterministic work counter).
+    #[serde(skip)]
+    vault_ticks: u64,
 }
 
 impl HmcDevice {
@@ -108,6 +121,9 @@ impl HmcDevice {
             resp_deliveries: 0,
             obs: TraceHandle::disabled(),
             stall_marked: false,
+            due: vec![0; cfg.hmc.vaults as usize].into_boxed_slice(),
+            gated: true,
+            vault_ticks: 0,
         })
     }
 
@@ -123,6 +139,25 @@ impl HmcDevice {
             v.set_obs(obs.clone());
         }
         self.obs = obs;
+    }
+
+    /// Turns the per-vault gate on (event engine) or off (polling). Every
+    /// vault starts due, so the first tick refreshes the due cycles.
+    pub(crate) fn set_vault_gating(&mut self, on: bool) {
+        self.gated = on;
+        self.due.fill(0);
+    }
+
+    /// Vault ticks run so far; skipped vaults are not counted.
+    #[must_use]
+    pub(crate) fn vault_ticks(&self) -> u64 {
+        self.vault_ticks
+    }
+
+    /// The vault an injected stall fault freezes, once it is in force.
+    fn stalled_vault(&self, now: Cycle) -> Option<usize> {
+        (self.faults.stall_vault_from > 0 && now >= self.faults.stall_vault_from)
+            .then_some(self.faults.stall_vault as usize)
     }
 
     /// Offers a demand request to the host-side controller. `false` means
@@ -221,6 +256,7 @@ impl HmcDevice {
             let d = self.mapping.decode(req.addr);
             let v = usize::from(d.vault);
             self.obs.arrive(req.id.0, d.vault, now);
+            self.due[v] = 0;
             let pt = prof.stamp();
             let accepted = self.vaults[v].try_enqueue(req, d, now);
             let _ = prof.lap(Comp::PfLookup, pt);
@@ -234,6 +270,7 @@ impl HmcDevice {
         for v in 0..self.vaults.len() {
             while let Some(&req) = self.vault_retry[v].front() {
                 let d = self.mapping.decode(req.addr);
+                self.due[v] = 0;
                 let pt = prof.stamp();
                 let accepted = self.vaults[v].try_enqueue(req, d, now);
                 let _ = prof.lap(Comp::PfLookup, pt);
@@ -246,9 +283,12 @@ impl HmcDevice {
         }
     }
 
+    /// Ticks every vault that is due. A vault with queued demand is due
+    /// again next cycle: its full wake scan walks the whole queue, which
+    /// costs more than the ticks it would save on saturated vaults. Any
+    /// other vault sleeps until its own wake.
     fn tick_vaults(&mut self, now: Cycle, prof: &mut Profiler) {
-        let stalled = (self.faults.stall_vault_from > 0 && now >= self.faults.stall_vault_from)
-            .then_some(self.faults.stall_vault as usize);
+        let stalled = self.stalled_vault(now);
         for (idx, v) in self.vaults.iter_mut().enumerate() {
             if stalled == Some(idx) {
                 if !self.stall_marked {
@@ -257,7 +297,18 @@ impl HmcDevice {
                 }
                 continue; // injected fault: the vault makes no progress
             }
+            if self.gated && self.due[idx] > now {
+                continue;
+            }
             v.tick(now, &mut self.vault_out, prof);
+            self.vault_ticks += 1;
+            if self.gated {
+                self.due[idx] = if v.read_queue_len() + v.write_queue_len() > 0 {
+                    now + 1
+                } else {
+                    v.next_event(now).unwrap_or(Cycle::MAX)
+                };
+            }
         }
         for resp in &self.vault_out {
             self.obs
@@ -390,7 +441,9 @@ impl Wake for HmcDevice {
     /// launch this instant (host queue with link tokens free, response
     /// queue with response tokens free, or any non-empty vault retry queue
     /// — retries probe the prefetch buffer and count lookups, so they must
-    /// run every cycle), and the earliest wake of every vault. Token-blocked
+    /// run every cycle), and the earliest wake of every vault: the cached
+    /// due cycle of a gated vault with empty queues (nothing has changed
+    /// it since its last tick), a fresh wake scan otherwise. Token-blocked
     /// queue heads need no wake of their own: the tokens they wait for are
     /// always represented by a pending `token_returns` entry. Serial links
     /// and crossbars hold no timers: a send only queues behind a busy
@@ -425,8 +478,17 @@ impl Wake for HmcDevice {
         if let Some(Reverse((at, _, _))) = self.inflight_resp.peek() {
             fold_wake(&mut wake, now, Some(*at));
         }
-        for v in &self.vaults {
-            fold_wake(&mut wake, now, v.next_event(now));
+        let stalled = self.stalled_vault(now + 1);
+        for (idx, v) in self.vaults.iter().enumerate() {
+            let at = if self.gated
+                && stalled != Some(idx)
+                && v.read_queue_len() + v.write_queue_len() == 0
+            {
+                Some(self.due[idx]).filter(|&due| due != Cycle::MAX)
+            } else {
+                v.next_event(now)
+            };
+            fold_wake(&mut wake, now, at);
             if wake == Some(next) {
                 break;
             }
@@ -443,6 +505,8 @@ impl HmcDevice {
                 self.host_queue.len()
             )));
         }
+        // The restored vaults' due cycles are unknown: make all due.
+        self.due.fill(0);
         Ok(())
     }
 }
@@ -651,6 +715,41 @@ mod tests {
                 "scheme {scheme:?}: finalized stats diverged"
             );
         }
+    }
+
+    #[test]
+    fn restoring_over_a_running_cube_makes_every_vault_due() {
+        // Due cycles are runtime-only, so an overlay must not keep the
+        // ones of the cube it lands on: here that cube has drained, and
+        // its vaults sleep until refresh while the snapshot's have work.
+        let c = cfg();
+        let mut a = HmcDevice::new(&c, SchemeKind::Camps).unwrap();
+        for i in 0..24u64 {
+            a.submit(read(i, i * 1024, 0));
+        }
+        let mut out_a = Vec::new();
+        for now in 1..=100 {
+            a.tick(now, &mut out_a, &mut Profiler::off());
+        }
+        let state = a.save_state();
+        let mut b = HmcDevice::new(&c, SchemeKind::Camps).unwrap();
+        b.submit(read(99, 0, 0));
+        let (_, end) = run(&mut b, 0, 1, 50_000);
+        assert!(
+            end > 100 && !b.busy(),
+            "b must drain past the snapshot cycle"
+        );
+        b.restore_state(&state).unwrap();
+        let pending = out_a.len();
+        let mut out_b = Vec::new();
+        let mut now = 100;
+        while (a.busy() || b.busy()) && now < 100_000 {
+            now += 1;
+            a.tick(now, &mut out_a, &mut Profiler::off());
+            b.tick(now, &mut out_b, &mut Profiler::off());
+        }
+        assert_eq!(&out_a[pending..], &out_b[..]);
+        assert_eq!(a.finalize(now), b.finalize(now));
     }
 
     #[test]

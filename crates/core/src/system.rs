@@ -658,9 +658,13 @@ impl System {
         })
     }
 
-    /// Selects the stepping strategy for subsequent run loops.
+    /// Selects the stepping strategy for subsequent run loops. The event
+    /// engine also ticks only the vaults that are due; polling ticks all.
     pub fn set_engine(&mut self, engine: Engine) {
         self.engine = engine;
+        self.mem
+            .topology_mut()
+            .set_vault_gating(engine == Engine::Event);
     }
 
     /// The stepping strategy in force.
@@ -702,6 +706,15 @@ impl System {
     #[must_use]
     pub fn obs(&self) -> &TraceHandle {
         &self.obs
+    }
+
+    /// Vault ticks run so far, a count of simulation work that does not
+    /// depend on the host. Polling runs one per vault per cycle; the
+    /// event engine skips the vaults that are not due. Runtime-only: it
+    /// is in neither [`RunResult`] nor snapshots.
+    #[must_use]
+    pub fn vault_ticks(&self) -> u64 {
+        self.mem.topology().vault_ticks()
     }
 
     /// Current simulation time.

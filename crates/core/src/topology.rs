@@ -120,6 +120,20 @@ impl Topology {
         self.obs = obs;
     }
 
+    /// Turns every cube's per-vault tick gate on or off.
+    pub(crate) fn set_vault_gating(&mut self, on: bool) {
+        self.pool
+            .cubes
+            .iter_mut()
+            .for_each(|c| c.set_vault_gating(on));
+    }
+
+    /// Vault ticks run so far, summed over the pool.
+    #[must_use]
+    pub(crate) fn vault_ticks(&self) -> u64 {
+        self.pool.cubes.iter().map(HmcDevice::vault_ticks).sum()
+    }
+
     /// Vaults per cube; a request's pool-global vault index is
     /// `cube * vaults_per_cube() + local_vault`.
     #[must_use]

@@ -6,17 +6,24 @@
 //! continue under the other. Results are compared as serialized
 //! [`camps::metrics::RunResult`] values, which covers IPC, cycle counts,
 //! every vault/core counter, AMAT accumulators, and the energy model.
+//!
+//! The event engine also skips the tick of every vault that is not due,
+//! so a vault wake that comes too late shows up here as a divergence.
+//! The variant tests below drive the vault paths the paper defaults do
+//! not reach: closed pages, FCFS, LLC push, TRR mitigation, core-side
+//! prefetch, a cube fabric and a saturating RowHammer stream.
 
 use camps::experiment::{RunLength, RunSpec};
 use camps::system::Engine;
 use camps::System;
 use camps_cpu::trace::{TraceOp, TraceSource, VecTrace};
+use camps_dram::timing::TimingCpu;
 use camps_obs::{ObsConfig, TraceHandle};
 use camps_prefetch::SchemeKind;
 use camps_types::addr::PhysAddr;
-use camps_types::config::SystemConfig;
+use camps_types::config::{PagePolicy, SchedulerKind, SystemConfig};
 use camps_types::snapshot::Snapshot;
-use camps_workloads::Mix;
+use camps_workloads::{AdversarialSpec, AdversarialTrace, AttackKind, Mix};
 
 fn mini() -> RunLength {
     RunLength {
@@ -26,8 +33,132 @@ fn mini() -> RunLength {
     }
 }
 
+/// Shorter than [`mini`]: the variant tests run every scheme under
+/// seven configurations, so each run stops at a cycle cap.
+fn short() -> RunLength {
+    RunLength {
+        warmup_instructions: 1_000,
+        instructions: 1_000,
+        max_cycles: 5_000,
+    }
+}
+
 fn canonical(r: &camps::metrics::RunResult) -> String {
     serde_json::to_string(r).expect("RunResult serializes")
+}
+
+/// HM1 under every scheme must come out the same under both engines on
+/// a paper-default machine with one knob turned, and the knob must
+/// change the result, or the comparison proves nothing about its path.
+fn every_scheme_agrees(variant: &str, tweak: impl Fn(&mut SystemConfig)) {
+    let paper = SystemConfig::paper_default();
+    let mut cfg = paper.clone();
+    tweak(&mut cfg);
+    let mix = Mix::by_id("HM1").unwrap();
+    let run = |cfg, scheme, engine| {
+        let result = RunSpec {
+            engine,
+            ..RunSpec::new(cfg, mix, scheme, short(), 11)
+        }
+        .run()
+        .unwrap();
+        canonical(&result)
+    };
+    for scheme in SchemeKind::ALL {
+        assert_eq!(
+            run(&cfg, scheme, Engine::Polling),
+            run(&cfg, scheme, Engine::Event),
+            "{variant}/{scheme:?}: engines diverged"
+        );
+    }
+    let scheme = SchemeKind::CampsMod;
+    assert_ne!(
+        run(&paper, scheme, Engine::Event),
+        run(&cfg, scheme, Engine::Event),
+        "{variant}: the knob did not change the {scheme:?} run"
+    );
+}
+
+#[test]
+fn closed_page_policy_is_bit_identical_across_engines() {
+    every_scheme_agrees("closed-page", |c| c.vault.page_policy = PagePolicy::Closed);
+}
+
+#[test]
+fn fcfs_scheduling_is_bit_identical_across_engines() {
+    every_scheme_agrees("fcfs", |c| c.vault.scheduler = SchedulerKind::Fcfs);
+}
+
+#[test]
+fn llc_push_is_bit_identical_across_engines() {
+    every_scheme_agrees("push-to-llc", |c| c.prefetch.push_to_llc = true);
+}
+
+#[test]
+fn trr_mitigation_is_bit_identical_across_engines() {
+    every_scheme_agrees("trr-2", |c| {
+        c.rowguard.enable_mitigation = true;
+        c.rowguard.threshold = 2;
+    });
+}
+
+#[test]
+fn two_level_prefetch_is_bit_identical_across_engines() {
+    every_scheme_agrees("two-level", |c| c.core_prefetch.enable = true);
+}
+
+#[test]
+fn two_cube_pool_is_bit_identical_across_engines() {
+    every_scheme_agrees("2-cube", |c| c.topology.cubes = 2);
+}
+
+/// One double-sided RowHammer stream per core, each on its own vault,
+/// with 32 aggressor rows and half stores.
+fn hammer_traces(cfg: &SystemConfig) -> Vec<Box<dyn TraceSource>> {
+    let t_refw = TimingCpu::from_config(&cfg.dram, cfg.cpu.freq_hz).t_refi;
+    (0..cfg.cpu.cores)
+        .map(|core| {
+            let vault = (core % cfg.hmc.vaults) as u16;
+            let mut spec =
+                AdversarialSpec::preset(AttackKind::HammerDouble, vault, 7 + u64::from(core));
+            spec.aggressors = 32;
+            Box::new(AdversarialTrace::new(spec, &cfg.hmc, t_refw).unwrap()) as Box<dyn TraceSource>
+        })
+        .collect()
+}
+
+/// The double-sided RowHammer stream with 32 aggressor rows per core
+/// (the adversarial bench's attack): all misses, half stores, dirty
+/// buffer evictions, saturated MSHRs and vault queues. Mitigation off
+/// and on; the mitigated run must really mitigate.
+#[test]
+fn hammer_stream_is_bit_identical_across_engines() {
+    const HORIZON: u64 = 5_000;
+    for mitigate in [false, true] {
+        let mut cfg = SystemConfig::paper_default();
+        cfg.rowguard.enable_mitigation = mitigate;
+        cfg.rowguard.threshold = 2;
+        let mut mitigations = 0;
+        for scheme in SchemeKind::ALL {
+            let run = |engine| {
+                let mut sys = System::new(&cfg, scheme, hammer_traces(&cfg)).unwrap();
+                sys.set_engine(engine);
+                sys.run(u64::MAX, HORIZON, "hammer").unwrap()
+            };
+            let polled = run(Engine::Polling);
+            assert_eq!(
+                canonical(&polled),
+                canonical(&run(Engine::Event)),
+                "hammer (mitigation {mitigate})/{scheme:?}: engines diverged"
+            );
+            mitigations += polled.vaults.mitigations.get();
+        }
+        assert_eq!(
+            mitigations > 0,
+            mitigate,
+            "hammer (mitigation {mitigate}): {mitigations} TRRs"
+        );
+    }
 }
 
 #[test]
@@ -151,6 +282,21 @@ fn checkpointed_polling_run_polls_and_matches_the_event_engine() {
     );
 }
 
+/// One narrow core issuing row-striding loads, each behind enough
+/// compute to fill its ROB: the machine sleeps through every memory
+/// round trip. Event engine.
+fn idle_heavy() -> System {
+    let mut cfg = SystemConfig::paper_default();
+    cfg.cpu.cores = 1;
+    cfg.cpu.rob_entries = 64;
+    let gap = cfg.cpu.rob_entries - 1;
+    let ops: Vec<TraceOp> = (0..512u64)
+        .map(|i| TraceOp::load(gap, PhysAddr(i * (1 << 19))))
+        .collect();
+    let traces = vec![Box::new(VecTrace::new("idle", ops)) as Box<dyn TraceSource>];
+    System::new(&cfg, SchemeKind::Camps, traces).unwrap()
+}
+
 /// The event engine must actually skip on an idle machine. One narrow
 /// core issues row-striding loads, each behind enough compute to fill
 /// its ROB, so the machine sleeps through every memory round trip; the
@@ -162,16 +308,7 @@ fn event_engine_skips_most_cycles_of_an_idle_heavy_run() {
     if !TraceHandle::compiled() {
         return;
     }
-    let mut cfg = SystemConfig::paper_default();
-    cfg.cpu.cores = 1;
-    cfg.cpu.rob_entries = 64;
-    let gap = cfg.cpu.rob_entries - 1;
-    let ops: Vec<TraceOp> = (0..512u64)
-        .map(|i| TraceOp::load(gap, PhysAddr(i * (1 << 19))))
-        .collect();
-    let traces = vec![Box::new(VecTrace::new("idle", ops)) as Box<dyn TraceSource>];
-    let mut sys = System::new(&cfg, SchemeKind::Camps, traces).unwrap();
-    sys.set_engine(Engine::Event);
+    let mut sys = idle_heavy();
     sys.enable_obs(&ObsConfig {
         profile: true,
         ..ObsConfig::default()
@@ -185,5 +322,49 @@ fn event_engine_skips_most_cycles_of_an_idle_heavy_run() {
         "skipped {skipped} of {} cycles (want >= 80%): {:?}",
         result.cycles,
         profile.wake_sources
+    );
+}
+
+/// Vault ticks count simulation work, so this gate reads the same on
+/// every host. Polling ticks every vault of every cube on every cycle.
+/// The event engine ticks a vault only when it is due; measured when
+/// the gate landed: 0.036 vault ticks per cycle on the idle-heavy run
+/// and 3.4 on the hammer stream, against 32 under polling.
+#[test]
+fn vault_ticks_count_only_the_due_vaults() {
+    let mut cfg = SystemConfig::paper_default();
+    cfg.topology.cubes = 2;
+    let mix = Mix::by_id("HM1").unwrap();
+    let capacity = cfg.cube_map().unwrap().capacity_bytes();
+    let mut sys = System::new(
+        &cfg,
+        SchemeKind::Camps,
+        mix.build_traces(capacity, 11).unwrap(),
+    )
+    .unwrap();
+    sys.set_engine(Engine::Polling);
+    let polled = sys.run(u64::MAX, 2_000, "polling").unwrap();
+    assert_eq!(polled.cycles, 2_000);
+    assert_eq!(
+        sys.vault_ticks(),
+        u64::from(cfg.hmc.vaults) * 2 * polled.cycles
+    );
+
+    let mut idle = idle_heavy();
+    idle.warmup(2_000);
+    let r = idle.run(4_000, 10_000_000, "idle-heavy").unwrap();
+    let per_cycle = idle.vault_ticks() as f64 / r.cycles as f64;
+    assert!(
+        per_cycle < 0.1,
+        "idle-heavy: {per_cycle:.3} vault ticks per cycle"
+    );
+
+    let cfg = SystemConfig::paper_default();
+    let mut hammer = System::new(&cfg, SchemeKind::Camps, hammer_traces(&cfg)).unwrap();
+    let r = hammer.run(u64::MAX, 20_000, "hammer").unwrap();
+    let per_cycle = hammer.vault_ticks() as f64 / r.cycles as f64;
+    assert!(
+        per_cycle < 8.0,
+        "hammer: {per_cycle:.3} vault ticks per cycle"
     );
 }
