@@ -21,6 +21,8 @@
 //! (memory-busy = most requests per cycle = the worst case for
 //! per-request stamping). Every run must match the plain event run
 //! bit for bit once the blocks only an observed run carries are cleared.
+//! Each plain `idle-heavy` cell is the median of five runs: its event
+//! run lasts only milliseconds.
 //!
 //! ```text
 //! cargo run --release -p camps-bench --bin throughput [-- --out FILE]
@@ -41,7 +43,6 @@
 use camps::metrics::RunResult;
 use camps::system::Engine;
 use camps::System;
-use camps_bench::{baseline_value, read_baseline, BenchArgs};
 use camps_cpu::trace::{TraceOp, TraceSource, VecTrace};
 use camps_obs::{ObsConfig, ProfileSummary};
 use camps_prefetch::SchemeKind;
@@ -75,6 +76,11 @@ const OBS_WORKLOAD: &str = "HM1";
 const OBS_SAMPLE_EVERY: u64 = 1_000;
 
 const WORKLOADS: [&str; 3] = ["idle-heavy", "HM1", "LM1"];
+/// Runs per plain `idle-heavy` cell, which the `--check` speedup gate
+/// reads. Its event-engine run lasts only milliseconds, so a single
+/// timing sits at the host's noise floor; the cell reports the median
+/// run (odd, so the median is one run).
+const IDLE_REPS: usize = 5;
 
 /// The config a workload runs under. The paper mixes use the Table I
 /// machine untouched; `idle-heavy` narrows it to one core so the whole
@@ -132,8 +138,24 @@ struct Timed {
     metrics_rows: u64,
 }
 
-/// Runs `workload` under `engine`, with `obs` installed when given.
+/// Runs `workload` under `engine`, with `obs` installed when given:
+/// once, or, for a plain `idle-heavy` cell, [`IDLE_REPS`] times, keeping
+/// the run of median wall time.
 fn measure(workload: &str, engine: Engine, obs: Option<&ObsConfig>) -> Result<Timed, String> {
+    let reps = if workload == "idle-heavy" && obs.is_none() {
+        IDLE_REPS
+    } else {
+        1
+    };
+    let mut runs = (0..reps)
+        .map(|_| measure_once(workload, engine, obs))
+        .collect::<Result<Vec<_>, _>>()?;
+    runs.sort_by(|a, b| a.wall_secs.total_cmp(&b.wall_secs));
+    Ok(runs.swap_remove(reps / 2))
+}
+
+/// One timed run of `workload` under `engine`.
+fn measure_once(workload: &str, engine: Engine, obs: Option<&ObsConfig>) -> Result<Timed, String> {
     let cfg = config_for(workload);
     let mut sys = System::new(&cfg, SchemeKind::Camps, traces_for(&cfg, workload, 11))
         .map_err(|e| format!("{workload}: {e}"))?;
@@ -398,7 +420,7 @@ fn render(entries: &[Entry], o: &Overhead) -> String {
 /// Applies the three `--check` gates; returns every failure.
 fn check(baseline: &str, entries: &[Entry], o: &Overhead) -> Vec<String> {
     let mut failures = Vec::new();
-    match baseline_value(baseline, Some("idle-heavy"), "event_over_polling") {
+    match baseline_value(baseline, "idle-heavy", "event_over_polling") {
         Some(expected) => {
             let measured = event_over_polling(entries, "idle-heavy");
             let floor = expected * CHECK_FLOOR;
@@ -412,7 +434,7 @@ fn check(baseline: &str, entries: &[Entry], o: &Overhead) -> Vec<String> {
         }
         None => failures.push("baseline has no idle-heavy event_over_polling".into()),
     }
-    match baseline_value(baseline, Some(OBS_WORKLOAD), "obs_over_plain") {
+    match baseline_value(baseline, OBS_WORKLOAD, "obs_over_plain") {
         Some(expected) => {
             let ceiling = expected * OVERHEAD_CEILING;
             println!(
@@ -440,11 +462,36 @@ fn check(baseline: &str, entries: &[Entry], o: &Overhead) -> Vec<String> {
     failures
 }
 
+/// The value of `key` in the committed baseline's entry
+/// `{"workload": "<workload>", "<key>": …}`. Matching is textual; the
+/// format is ours.
+fn baseline_value(text: &str, workload: &str, key: &str) -> Option<f64> {
+    let needle = format!("\"workload\": \"{workload}\", \"{key}\": ");
+    let rest = &text[text.find(&needle)? + needle.len()..];
+    rest[..rest.find(['}', ','])?].trim().parse().ok()
+}
+
+/// Parses `[--out FILE] [--check FILE]` into the report path and the
+/// baseline to gate against.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<(String, Option<String>), String> {
+    let (mut out, mut check) = ("BENCH_engine.json".to_string(), None);
+    let mut it = args.into_iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--out" => out = it.next().ok_or("--out needs a file")?,
+            "--check" => check = Some(it.next().ok_or("--check needs a baseline file")?),
+            other => {
+                return Err(format!(
+                    "unknown option `{other}` (try --out FILE | --check FILE)"
+                ))
+            }
+        }
+    }
+    Ok((out, check))
+}
+
 fn main() -> ExitCode {
-    let BenchArgs {
-        out: out_path,
-        check: check_path,
-    } = match BenchArgs::parse(std::env::args().skip(1), "BENCH_engine.json") {
+    let (out_path, check_path) = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("{e}");
@@ -468,10 +515,10 @@ fn main() -> ExitCode {
     let Some(path) = check_path else {
         return ExitCode::SUCCESS;
     };
-    let baseline = match read_baseline(&path) {
+    let baseline = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(e) => {
-            eprintln!("throughput: {e}");
+            eprintln!("throughput: cannot read baseline {path}: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -483,5 +530,44 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{baseline_value, parse_args};
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| (*s).to_string()).collect()
+    }
+
+    #[test]
+    fn args_parse_out_and_check() {
+        let none = parse_args(args(&[])).unwrap();
+        assert_eq!(none, ("BENCH_engine.json".to_string(), None));
+        let both = parse_args(args(&["--check", "b.json", "--out", "o.json"])).unwrap();
+        assert_eq!(both, ("o.json".to_string(), Some("b.json".to_string())));
+        assert_eq!(
+            parse_args(args(&["--out"])).unwrap_err(),
+            "--out needs a file"
+        );
+        assert!(parse_args(args(&["--fast"]))
+            .unwrap_err()
+            .contains("`--fast`"));
+    }
+
+    /// Every key a `--check` gate reads from the committed baseline.
+    #[test]
+    fn committed_baseline_has_every_gated_key() {
+        let text = include_str!("../../../../ci/perf_baseline.json");
+        for (workload, key) in [
+            ("idle-heavy", "event_over_polling"),
+            ("HM1", "obs_over_plain"),
+        ] {
+            let v = baseline_value(text, workload, key);
+            assert!(v.is_some_and(|v| v > 0.0), "{workload}/{key}: {v:?}");
+        }
+        assert_eq!(baseline_value(text, "HM1", "no_such_key"), None);
+        assert_eq!(baseline_value(text, "LM1", "obs_over_plain"), None);
     }
 }

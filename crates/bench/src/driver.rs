@@ -1,44 +1,49 @@
 //! Experiment driving, result caching, and CSV output.
 
-use camps::experiment::RunLength;
+use camps::experiment::{RunLength, Workload};
 use camps::metrics::RunResult;
-use camps::sweep::{run_sweep, SweepPolicy, SweepRun};
+use camps::sweep::{run_sweep, JobOutcome, SweepPolicy, SweepRun};
 use camps_prefetch::SchemeKind;
 use camps_types::config::SystemConfig;
-use camps_workloads::{Mix, ALL_MIXES};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Once;
 
-/// Seed used by every figure run (fixed → figures are cross-comparable).
+/// Seed of every figure and ablation run (fixed → figures are
+/// cross-comparable).
 pub const FIGURE_SEED: u64 = 0xCA3B5;
 
-/// Resolves the run length from `CAMPS_BENCH_SCALE`
-/// (`quick` | `standard` | `thorough`; default `quick`).
+/// The run length `CAMPS_BENCH_SCALE` names (`tiny`, `quick`,
+/// `standard` or `thorough`); `quick` when it is unset.
+///
+/// # Errors
+/// An unknown scale name, with the list of valid ones.
+pub fn bench_length() -> Result<RunLength, String> {
+    scale_from(std::env::var("CAMPS_BENCH_SCALE").ok().as_deref())
+}
+
+/// The run length named `name`, or `quick` for `None`.
+fn scale_from(name: Option<&str>) -> Result<RunLength, String> {
+    name.map_or(Ok(RunLength::quick()), |name| {
+        RunLength::by_name(name).map_err(|e| format!("CAMPS_BENCH_SCALE: {e}"))
+    })
+}
+
+/// The workspace root. Bench binaries run with the package directory as
+/// their working directory, so this anchors on the crate's manifest.
 #[must_use]
-pub fn bench_length() -> RunLength {
-    match std::env::var("CAMPS_BENCH_SCALE").as_deref() {
-        Ok("standard") => RunLength::standard(),
-        Ok("thorough") => RunLength::thorough(),
-        _ => RunLength::quick(),
-    }
+pub(crate) fn workspace_root() -> PathBuf {
+    let crate_dir = Path::new(env!("CARGO_MANIFEST_DIR")); // <root>/crates/bench
+    crate_dir.ancestors().nth(2).unwrap_or(crate_dir).into()
 }
 
 /// Directory where figure CSVs and the shared result cache live:
 /// `<workspace>/target/experiments` (honors `CARGO_TARGET_DIR`).
 #[must_use]
 pub fn experiments_dir() -> PathBuf {
-    // Bench binaries run with the package directory as CWD, so anchor on
-    // the workspace root via this crate's manifest location instead.
-    let target = std::env::var("CARGO_TARGET_DIR").map_or_else(
-        |_| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("target")
-        },
-        PathBuf::from,
-    );
+    let target = std::env::var("CARGO_TARGET_DIR")
+        .map_or_else(|_| workspace_root().join("target"), PathBuf::from);
     let dir = target.join("experiments");
     fs::create_dir_all(&dir).expect("create target/experiments");
     dir
@@ -69,17 +74,22 @@ fn journal_in(dir: &Path, fresh: bool, discarded: &Once) -> PathBuf {
     path
 }
 
-/// Runs a `mixes × schemes` matrix under the resilient sweep supervisor
-/// against the shared bench journal: already-journaled jobs are reused
-/// per-job (not all-or-nothing), fresh jobs get fault isolation, and a
-/// failed job's checkpoint lets the next run resume it. Panics if any
-/// job is quarantined — bench code fails loudly.
-fn journaled_matrix(
+/// Runs a `workloads × schemes` matrix at `len` and `seed` under the
+/// resilient sweep supervisor against the shared bench journal:
+/// already-journaled jobs are reused per-job (not all-or-nothing), fresh
+/// jobs get fault isolation, and a failed job's checkpoint lets the next
+/// run resume it.
+///
+/// # Errors
+/// The sweep's infrastructure failed, or a job was quarantined.
+pub(crate) fn journaled_matrix(
     cfg: &SystemConfig,
-    mixes: &[Mix],
+    workloads: &[impl Into<Workload> + Copy],
     schemes: &[SchemeKind],
+    len: &RunLength,
+    seed: u64,
     label: &str,
-) -> Vec<RunResult> {
+) -> Result<Vec<RunResult>, String> {
     let journal = bench_journal();
     let policy = SweepPolicy {
         journal_path: Some(journal.clone()),
@@ -90,35 +100,22 @@ fn journaled_matrix(
         results,
         errors,
         report,
-    } = run_sweep(cfg, mixes, schemes, &bench_length(), FIGURE_SEED, &policy)
-        .unwrap_or_else(|e| panic!("{label} sweep infrastructure: {e}"));
+    } = run_sweep(cfg, workloads, schemes, len, seed, &policy)
+        .map_err(|e| format!("{label} sweep infrastructure: {e}"))?;
     if let Some(err) = errors.into_iter().flatten().next() {
-        panic!("{label} job quarantined (bench-only: fail loudly): {err}");
+        return Err(format!("{label} job quarantined: {err}"));
     }
     let reused = report
         .jobs
         .iter()
-        .filter(|j| j.outcome == camps::sweep::JobOutcome::Journaled)
+        .filter(|j| j.outcome == JobOutcome::Journaled)
         .count();
     eprintln!(
         "[journal] {label}: {} jobs ({reused} from journal) via {}",
         report.jobs.len(),
         journal.display()
     );
-    results.into_iter().flatten().collect()
-}
-
-/// Runs all twelve Table II mixes under every paper scheme (plus NOPF) on
-/// the Table I system at the configured scale.
-///
-/// Figures 5–9 all consume this one matrix; completed (mix, scheme)
-/// cells are reused from the shared [`bench_journal`], so a re-run after
-/// an interruption only pays for the missing cells. Set
-/// `CAMPS_BENCH_FRESH=1` to discard the journal and re-run everything.
-#[must_use]
-pub fn figure_results() -> Vec<RunResult> {
-    let cfg = SystemConfig::paper_default();
-    journaled_matrix(&cfg, &ALL_MIXES, &SchemeKind::ALL, "figures")
+    Ok(results.into_iter().flatten().collect())
 }
 
 /// Writes rows as CSV to `target/experiments/<name>.csv` and returns the
@@ -138,47 +135,19 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) -> PathBuf {
     path
 }
 
-/// A configuration run under one scheme, labelled for its table row.
-pub type Variant = (String, SystemConfig, SchemeKind);
-
-/// Ablation helper: runs `scheme` on the given mixes under each labeled
-/// configuration variant and returns one geomean-IPC row per variant
-/// (columns = mixes, in order).
-///
-/// Each variant's cells ride the shared [`bench_journal`] — the journal
-/// key includes the config hash, so variants never cross-pollinate, and
-/// an interrupted ablation resumes at the first un-journaled cell. Jobs
-/// within a variant run in parallel under the sweep supervisor.
-#[must_use]
-pub fn ablation_sweep(variants: &[Variant], mix_ids: &[&str]) -> Vec<(String, Vec<f64>)> {
-    let mixes: Vec<Mix> = mix_ids
-        .iter()
-        .map(|id| *Mix::by_id(id).expect("known mix"))
-        .collect();
-    variants
-        .iter()
-        .map(|(label, cfg, scheme)| {
-            let results = journaled_matrix(cfg, &mixes, &[*scheme], label);
-            let ipcs: Vec<f64> = results.iter().map(RunResult::geomean_ipc).collect();
-            assert_eq!(ipcs.len(), mix_ids.len(), "one cell per mix");
-            (label.clone(), ipcs)
-        })
-        .collect()
-}
-
-/// The mixes ablations run on: one per intensity class, to keep sweeps
-/// affordable while covering the spectrum.
-pub const ABLATION_MIXES: [&str; 3] = ["HM1", "LM1", "MX1"];
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn default_scale_is_quick() {
-        if std::env::var("CAMPS_BENCH_SCALE").is_err() {
-            assert_eq!(bench_length(), RunLength::quick());
-        }
+    fn unset_scale_is_quick_and_an_unknown_one_fails() {
+        assert_eq!(scale_from(None), Ok(RunLength::quick()));
+        assert_eq!(scale_from(Some("tiny")), Ok(RunLength::tiny()));
+        let err = scale_from(Some("standrd")).unwrap_err();
+        assert!(
+            err.contains("`standrd`") && err.contains("tiny, quick, standard, thorough"),
+            "{err}"
+        );
     }
 
     #[test]

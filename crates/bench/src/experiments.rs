@@ -1,42 +1,49 @@
-//! The paper's Figures 5–9 and our ablations, as one table of data.
+//! The paper's Figures 5–9, our ablations and the adversarial and
+//! multi-cube studies, as one table of data.
 //!
 //! `EXPERIMENTS` is the registry. Each figure names its columns, its
 //! per-cell value, how its AVG row folds a column, and the paper's numbers
 //! it is compared against; each ablation names its configuration
-//! variants. One table builder, one claim formatter and one ablation
-//! printer serve them all; the `experiments` bench target only passes the
-//! names to [`run`]:
+//! variants; each study names its workloads, seed, run length and
+//! configuration passes, and checks its results before it writes its
+//! `BENCH_<name>.json` report. One table builder, one claim formatter,
+//! one ablation printer and one study runner serve them all; the
+//! `experiments` bench target only passes the names to [`run`]:
 //!
 //! ```text
 //! cargo bench -p camps-bench --bench experiments [-- NAME…]
 //! ```
 
-use crate::driver::{ablation_sweep, figure_results, write_csv, Variant, ABLATION_MIXES};
+use crate::driver::{bench_length, journaled_matrix, workspace_root, write_csv, FIGURE_SEED};
 use crate::table::{bar_chart, TableWriter};
+use camps::experiment::{RunLength, Workload};
 use camps::metrics::RunResult;
 use camps_prefetch::SchemeKind;
 use camps_stats::{geomean, mean};
 use camps_types::addr::MappingScheme;
 use camps_types::config::{PagePolicy, SchedulerKind, SystemConfig};
-use camps_workloads::ALL_MIXES;
+use camps_workloads::{AttackKind, ALL_MIXES};
+use serde::Serialize;
 use std::fmt::Display;
 
 use SchemeKind::{Base, BaseHit, Camps, CampsMod, Mmd, Nopf};
 
-/// One table or ablation, selectable by name.
+/// One table, ablation or study, selectable by name.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Experiment {
     Figure(Figure),
     Ablation(Ablation),
+    Study(Study),
 }
 
 impl Experiment {
-    /// The selection name, which is also the CSV stem under
-    /// `target/experiments/`.
+    /// The selection name: the CSV stem under `target/experiments/`, or
+    /// the `<name>` of a study's `BENCH_<name>.json`.
     pub(crate) fn name(&self) -> &'static str {
         match self {
             Self::Figure(f) => f.name,
             Self::Ablation(a) => a.name,
+            Self::Study(s) => s.name,
         }
     }
 }
@@ -122,6 +129,17 @@ pub(crate) struct Figure {
 /// Renders one figure cell as a CSV row.
 type CellRow = fn(&Cell<'_>) -> String;
 
+/// A configuration run under one scheme, labelled for its table row.
+type Variant = (String, SystemConfig, SchemeKind);
+
+/// The mixes ablations run on, one per intensity class (HM1, LM1, MX1),
+/// to keep sweeps affordable while covering the spectrum.
+const ABLATION_MIXES: [Workload; 3] = [
+    Workload::Mix(ALL_MIXES[0]),
+    Workload::Mix(ALL_MIXES[4]),
+    Workload::Mix(ALL_MIXES[8]),
+];
+
 /// A sweep of configuration variants over [`ABLATION_MIXES`], reported
 /// as geomean IPC.
 #[derive(Debug, Clone, Copy)]
@@ -132,6 +150,28 @@ pub(crate) struct Ablation {
     /// Builds the variants, in row order.
     variants: fn() -> Vec<Variant>,
 }
+
+/// A study with its own workloads, seed and run length: one journaled
+/// matrix per configuration pass, each under every scheme, checked and
+/// written to `BENCH_<name>.json` at the workspace root. The study's
+/// run length is its own; `CAMPS_BENCH_SCALE` does not change it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Study {
+    name: &'static str,
+    seed: u64,
+    len: RunLength,
+    passes: &'static [Pass],
+    /// Checks each pass's results and builds the report; `Err` names
+    /// the check that failed.
+    report: fn(&[PassResults]) -> Result<serde::value::Value, String>,
+}
+
+/// One configuration pass of a study: its label in the journal log, its
+/// edit to the Table I machine, and the workloads it runs.
+type Pass = (&'static str, fn(&mut SystemConfig), &'static [Workload]);
+
+/// A pass's machine and its results, workload-major.
+type PassResults = (SystemConfig, Vec<RunResult>);
 
 /// One figure cell.
 #[derive(Debug, Clone, Copy)]
@@ -257,13 +297,24 @@ impl Figure {
 }
 
 impl Ablation {
-    /// Runs the variants, prints the geomean-IPC table and writes the CSV.
-    fn report(&self) {
-        let rows = ablation_sweep(&(self.variants)(), &ABLATION_MIXES);
+    /// Runs each variant over [`ABLATION_MIXES`] at `len`, prints the
+    /// geomean-IPC table and writes the CSV. Each variant is one matrix
+    /// on the shared journal, whose key includes the config hash, so
+    /// variants never share cells and an interrupted ablation resumes at
+    /// the first cell it had not journaled.
+    fn report(&self, len: &RunLength) -> Result<(), String> {
+        let mut rows = Vec::new();
+        for (label, cfg, scheme) in (self.variants)() {
+            let results =
+                journaled_matrix(&cfg, &ABLATION_MIXES, &[scheme], len, FIGURE_SEED, &label)?;
+            let ipcs: Vec<f64> = results.iter().map(RunResult::geomean_ipc).collect();
+            rows.push((label, ipcs));
+        }
         let w = rows.iter().map(|(label, _)| label.len()).max().unwrap_or(0);
         println!("Ablation: {}\n", self.title);
+        let mixes = ABLATION_MIXES.map(|w| w.id());
         let mut header = format!("{:>w$}", "");
-        for mix in ABLATION_MIXES {
+        for mix in mixes {
             header.push_str(&format!("  {mix:>8}"));
         }
         println!("{header}");
@@ -278,12 +329,231 @@ impl Ablation {
             println!("{line}");
             csv.push(row);
         }
-        write_csv(
-            self.name,
-            &format!("variant,{}", ABLATION_MIXES.join(",")),
-            &csv,
-        );
+        write_csv(self.name, &format!("variant,{}", mixes.join(",")), &csv);
+        Ok(())
     }
+}
+
+impl Study {
+    /// Runs every pass, then checks the results and writes the report.
+    fn report(&self) -> Result<(), String> {
+        let mut done = Vec::new();
+        for (label, edit, workloads) in self.passes {
+            let mut cfg = SystemConfig::paper_default();
+            edit(&mut cfg);
+            let label = format!("{} / {label}", self.name);
+            let all = &SchemeKind::ALL;
+            let results = journaled_matrix(&cfg, workloads, all, &self.len, self.seed, &label)?;
+            done.push((cfg, results));
+        }
+        let report = (self.report)(&done).map_err(|e| format!("{}: {e}", self.name))?;
+        let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())? + "\n";
+        print!("{json}");
+        let path = workspace_root().join(format!("BENCH_{}.json", self.name));
+        std::fs::write(&path, json).map_err(|e| format!("cannot write {}: {e}", path.display()))
+    }
+}
+
+/// `x` as printed to 4 decimals, the precision of the study reports.
+fn round4(x: f64) -> f64 {
+    format!("{x:.4}").parse().unwrap_or(x)
+}
+
+/// The attack runs' fixed horizon, about ten refresh windows at the
+/// paper's tREFI. Attack streams starve the cores, so the cycle cap ends
+/// each run; amplification is a ratio of activation counts over it.
+const ATTACK_LEN: RunLength = RunLength {
+    warmup_instructions: 2_000,
+    instructions: u64::MAX,
+    max_cycles: 250_000,
+};
+
+/// Every attack, the double-sided hammer (the ranked stream) first.
+const ATTACKS: [Workload; 4] = [
+    Workload::Attack(AttackKind::HammerDouble),
+    Workload::Attack(AttackKind::HammerSingle),
+    Workload::Attack(AttackKind::ConflictThrash),
+    Workload::Attack(AttackKind::BufferPollution),
+];
+
+/// One high- and one low-intensity mix: enough to expose the cube
+/// fabric's effect on both traffic classes while keeping the multi-cube
+/// matrix affordable in CI.
+const HM1_LM1: [Workload; 2] = [Workload::Mix(ALL_MIXES[0]), Workload::Mix(ALL_MIXES[4])];
+
+/// `BENCH_adversarial.json`.
+#[derive(Serialize)]
+struct AdversarialReport {
+    benchmark: &'static str,
+    horizon_cycles: u64,
+    entries: Vec<AttackEntry>,
+    /// Amplification on the double-sided stream, highest first.
+    hammer_ranking: Vec<Ranked>,
+    mitigation: Vec<Mitigated>,
+}
+
+#[derive(Serialize)]
+struct AttackEntry {
+    attack: String,
+    scheme: &'static str,
+    hammer_amplification: f64,
+    worst_row_window_acts: u64,
+    demand_activations: u64,
+    prefetch_activations: u64,
+    writeback_activations: u64,
+    refreshes: u64,
+    geomean_ipc: f64,
+    cycles: u64,
+}
+
+#[derive(Serialize)]
+struct Ranked {
+    scheme: &'static str,
+    hammer_amplification: f64,
+}
+
+/// `completed`: the run reached the horizon without tripping the
+/// watchdog.
+#[derive(Serialize)]
+struct Mitigated {
+    scheme: &'static str,
+    mitigations: u64,
+    worst_row_window_acts: u64,
+    cycles: u64,
+    completed: bool,
+}
+
+/// Ranks the schemes by worst-case RowHammer amplification: a
+/// prefetcher that echoes aggressor activations hands the attacker extra
+/// hammers for free (ρHammer, PAPERS.md). Fails unless every
+/// amplification report is well-formed, CAMPS amplifies the
+/// double-sided stream beyond NOPF, and the mitigation fires under every
+/// scheme, never while it is off.
+fn adversarial_report(passes: &[PassResults]) -> Result<serde::value::Value, String> {
+    let [(_, attacks), (_, mitigated)] = passes else {
+        return Err(format!("expected 2 passes, got {}", passes.len()));
+    };
+    let mut entries = Vec::new();
+    let mut ranking = Vec::new();
+    for r in attacks {
+        let what = format!("{} under {}", r.mix_id, r.scheme);
+        let a = r
+            .amplification
+            .as_ref()
+            .ok_or(format!("{what}: no amplification report"))?;
+        let ratio = a.total_activations() as f64 / a.demand_activations.max(1) as f64;
+        if a.demand_activations == 0
+            || (a.hammer_amplification - ratio).abs() > 1e-9
+            || a.worst_row_window_acts == 0
+            || a.mitigations != 0
+        {
+            return Err(format!("malformed report for {what}: {a:?}"));
+        }
+        if r.mix_id == AttackKind::HammerDouble.as_str() {
+            ranking.push((r.scheme, a.hammer_amplification));
+        }
+        entries.push(AttackEntry {
+            attack: r.mix_id.clone(),
+            scheme: r.scheme.name(),
+            hammer_amplification: round4(a.hammer_amplification),
+            worst_row_window_acts: a.worst_row_window_acts,
+            demand_activations: a.demand_activations,
+            prefetch_activations: a.prefetch_activations,
+            writeback_activations: a.writeback_activations,
+            refreshes: a.refreshes,
+            geomean_ipc: round4(r.geomean_ipc()),
+            cycles: r.cycles,
+        });
+    }
+    ranking.sort_by(|a, b| b.1.total_cmp(&a.1));
+    let amp_of = |s| ranking.iter().find(|r| r.0 == s).map_or(f64::NAN, |r| r.1);
+    let (camps, nopf) = (amp_of(Camps), amp_of(Nopf));
+    // A missing scheme reads NaN, which fails the comparison too.
+    if camps.partial_cmp(&nopf) != Some(std::cmp::Ordering::Greater) {
+        return Err(format!(
+            "CAMPS must amplify hammer-double beyond NOPF (CAMPS {camps:.4}, NOPF {nopf:.4})"
+        ));
+    }
+    let mitigation = mitigated.iter().map(|r| match r.vaults.mitigations.get() {
+        0 => Err(format!("mitigation never fired under {}", r.scheme)),
+        mitigations => Ok(Mitigated {
+            scheme: r.scheme.name(),
+            mitigations,
+            worst_row_window_acts: r.vaults.worst_row_window_acts,
+            cycles: r.cycles,
+            completed: true,
+        }),
+    });
+    Ok(AdversarialReport {
+        benchmark: "adversarial",
+        horizon_cycles: ATTACK_LEN.max_cycles,
+        entries,
+        hammer_ranking: ranking
+            .into_iter()
+            .map(|(s, amp)| Ranked {
+                scheme: s.name(),
+                hammer_amplification: round4(amp),
+            })
+            .collect(),
+        mitigation: mitigation.collect::<Result<_, _>>()?,
+    }
+    .to_value())
+}
+
+/// `BENCH_multicube.json`: per pool, each scheme's geomean IPC across
+/// the mixes and its speedup over the same pool's NOPF, which isolates
+/// the prefetcher's contribution from the fabric's added latency.
+#[derive(Serialize)]
+struct MulticubeReport {
+    benchmark: &'static str,
+    pools: Vec<Pool>,
+}
+
+#[derive(Serialize)]
+struct Pool {
+    cubes: u32,
+    topology: &'static str,
+    schemes: Vec<PoolScheme>,
+}
+
+#[derive(Serialize)]
+struct PoolScheme {
+    scheme: &'static str,
+    geomean_ipc: f64,
+    speedup_vs_nopf: f64,
+}
+
+/// How each scheme's speedup decays as requests pick up inter-cube hops.
+fn multicube_report(passes: &[PassResults]) -> Result<serde::value::Value, String> {
+    let mut pools = Vec::new();
+    for (cfg, results) in passes {
+        let cubes = cfg.topology.cubes;
+        let ipc = |scheme| {
+            let runs = results.iter().filter(|r| r.scheme == scheme);
+            let ipcs: Vec<f64> = runs.map(RunResult::geomean_ipc).collect();
+            geomean(&ipcs).ok_or(format!("{cubes} cube(s): no positive IPC under {scheme}"))
+        };
+        let nopf = ipc(Nopf)?;
+        let mut schemes = Vec::new();
+        for scheme in SchemeKind::ALL {
+            let ipc = ipc(scheme)?;
+            schemes.push(PoolScheme {
+                scheme: scheme.name(),
+                geomean_ipc: round4(ipc),
+                speedup_vs_nopf: round4(ipc / nopf),
+            });
+        }
+        pools.push(Pool {
+            cubes,
+            topology: cfg.topology.kind.name(),
+            schemes,
+        });
+    }
+    Ok(MulticubeReport {
+        benchmark: "multicube-scaling",
+        pools,
+    }
+    .to_value())
 }
 
 /// Memory stall cycles per load: the effective AMAT the pipeline sees.
@@ -327,7 +597,7 @@ use Form::{Absolute, Points, Ratio};
 
 /// Every experiment, in the order a run with no names regenerates them.
 #[rustfmt::skip] // one claim per line, as a table
-pub(crate) const EXPERIMENTS: [Experiment; 16] = [
+pub(crate) const EXPERIMENTS: [Experiment; 18] = [
     // Paper: CAMPS-MOD outperforms BASE by 17.9 %, BASE-HIT by 16.8 % and
     // MMD by 8.7 % on average; HM mixes gain most.
     Experiment::Figure(Figure {
@@ -585,6 +855,34 @@ pub(crate) const EXPERIMENTS: [Experiment; 16] = [
             )
         },
     }),
+    // Not in the paper: every scheme under RowHammer-style attack
+    // streams, ranked by activation amplification; then the double-sided
+    // hammer with the TRR-style mitigation on. A saturated bank reaches
+    // ~6 ACTs per aggressor row per refresh window, so a threshold of 3
+    // fires within the horizon (the default 64 never would).
+    Experiment::Study(Study {
+        name: "adversarial",
+        seed: 0xA11CE,
+        len: ATTACK_LEN,
+        passes: &[
+            ("attacks", |_| {}, &ATTACKS),
+            ("mitigation on", |c| { c.rowguard.enable_mitigation = true; c.rowguard.threshold = 3 }, &[ATTACKS[0]]),
+        ],
+        report: adversarial_report,
+    }),
+    // Not in the paper, which evaluates one cube: the scheme matrix on
+    // chained pools of 1, 2 and 4 cubes.
+    Experiment::Study(Study {
+        name: "multicube",
+        seed: 0xC0BE5,
+        len: RunLength::tiny(),
+        passes: &[
+            ("1 cube(s)", |c| c.topology.cubes = 1, &HM1_LM1),
+            ("2 cube(s)", |c| c.topology.cubes = 2, &HM1_LM1),
+            ("4 cube(s)", |c| c.topology.cubes = 4, &HM1_LM1),
+        ],
+        report: multicube_report,
+    }),
 ];
 
 /// Resolves command-line names to experiments, in registry order. No
@@ -614,17 +912,35 @@ fn select(args: &[String]) -> Result<Vec<Experiment>, String> {
 }
 
 /// Runs the experiments `args` names (every one when it names none), in
-/// registry order. The figures share one journaled result matrix,
-/// fetched once.
+/// registry order, at the `CAMPS_BENCH_SCALE` run length. The figures
+/// share one journaled result matrix, fetched once.
 ///
 /// # Errors
-/// An unknown name, with the list of valid ones; nothing runs.
+/// An unknown name (with the list of valid ones) or scale, before
+/// anything runs; a quarantined job; a study check that failed.
 pub fn run(args: &[String]) -> Result<(), String> {
-    let mut results: Option<Vec<RunResult>> = None;
-    for e in select(args)? {
+    let selected = select(args)?;
+    let len = bench_length()?;
+    // Figures 5–9 all read one journaled matrix: the Table II mixes
+    // under every scheme on the Table I machine.
+    let figures = if selected.iter().any(|e| matches!(e, Experiment::Figure(_))) {
+        let cfg = SystemConfig::paper_default();
+        journaled_matrix(
+            &cfg,
+            &ALL_MIXES,
+            &SchemeKind::ALL,
+            &len,
+            FIGURE_SEED,
+            "figures",
+        )?
+    } else {
+        Vec::new()
+    };
+    for e in selected {
         match e {
-            Experiment::Figure(f) => f.report(results.get_or_insert_with(figure_results)),
-            Experiment::Ablation(a) => a.report(),
+            Experiment::Figure(f) => f.report(&figures),
+            Experiment::Ablation(a) => a.report(&len)?,
+            Experiment::Study(s) => s.report()?,
         }
     }
     Ok(())
@@ -633,6 +949,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use camps_stats::AmplificationReport;
 
     fn args(names: &[&str]) -> Vec<String> {
         names.iter().map(|s| (*s).to_string()).collect()
@@ -643,7 +960,8 @@ mod tests {
     }
 
     /// The names are the CSV stems EXPERIMENTS.md and downstream scripts
-    /// read, in run order: Figures 5–9, then the ablations.
+    /// read and the study report names, in run order: Figures 5–9, the
+    /// ablations, then the studies.
     #[test]
     fn names_are_unique_csv_stems() {
         let all: Vec<&str> = EXPERIMENTS.iter().map(Experiment::name).collect();
@@ -670,13 +988,15 @@ mod tests {
                 "ablate_push_llc",
                 "ablate_two_level",
                 "ablate_link_power",
+                "adversarial",
+                "multicube",
             ]
         );
     }
 
     #[test]
     fn selection_keeps_registry_order_and_ignores_bench_flag() {
-        assert_eq!(names(&select(&args(&["--bench"])).unwrap()).len(), 16);
+        assert_eq!(names(&select(&args(&["--bench"])).unwrap()).len(), 18);
         let picked = select(&args(&["ablate_mapping", "fig6_conflicts", "--bench"])).unwrap();
         assert_eq!(names(&picked), ["fig6_conflicts", "ablate_mapping"]);
         let twice = select(&args(&["fig5_speedup", "fig5_speedup"])).unwrap();
@@ -737,6 +1057,42 @@ mod tests {
             amplification: None,
             profile: None,
         }
+    }
+
+    /// Adversarial results where CAMPS amplifies hammer-double to
+    /// `camps_amp` % against NOPF's 100 and each mitigation-on run fires
+    /// `fired` TRRs.
+    fn adversarial_results(camps_amp: u64, fired: u64) -> Vec<PassResults> {
+        let pass = |workloads: &[Workload], fired| {
+            let runs = workloads.iter().flat_map(|w| {
+                SchemeKind::ALL.map(|s| {
+                    let mut r = result(w.id(), s, 0.01);
+                    let writebacks = if s == Camps { camps_amp - 100 } else { 0 };
+                    let a = AmplificationReport::from_counts(100, 0, writebacks, 5, 0, 1);
+                    r.amplification = Some(a);
+                    r.vaults.mitigations.add(fired);
+                    r
+                })
+            });
+            (SystemConfig::paper_default(), runs.collect())
+        };
+        vec![pass(&ATTACKS, 0), pass(&ATTACKS[..1], fired)]
+    }
+
+    #[test]
+    fn adversarial_checks_fail_the_study() {
+        let report = adversarial_report(&adversarial_results(126, 7)).unwrap();
+        let report = serde_json::to_string(&report).unwrap();
+        assert!(report.contains("\"hammer_amplification\":1.26"), "{report}");
+        let err = adversarial_report(&adversarial_results(100, 7)).unwrap_err();
+        assert!(err.contains("CAMPS must amplify"), "{err}");
+        let err = adversarial_report(&adversarial_results(126, 0)).unwrap_err();
+        assert!(err.contains("mitigation never fired"), "{err}");
+        let mut trr_while_off = adversarial_results(126, 7);
+        let report = trr_while_off[0].1[0].amplification.as_mut().unwrap();
+        report.mitigations = 1;
+        let err = adversarial_report(&trr_while_off).unwrap_err();
+        assert!(err.contains("malformed report"), "{err}");
     }
 
     /// Fig. 5's table and claims over a two-mix matrix, checked by hand.

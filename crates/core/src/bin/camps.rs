@@ -1,7 +1,7 @@
 //! `camps` — command-line experiment runner.
 //!
 //! ```text
-//! camps run   <MIX> <SCHEME> [--scale quick|standard|thorough] [--seed N] [--json]
+//! camps run   <MIX> <SCHEME> [--scale tiny|quick|standard|thorough] [--seed N] [--json]
 //!             [--engine polling|event] [--cubes N] [--topology chain|star]
 //!             [--checkpoint-every CYCLES] [--checkpoint-path FILE]
 //!             [--trace-out FILE] [--trace-filter SUBSTR]
@@ -143,13 +143,8 @@ fn parse_options(command: &str, args: &[String]) -> Result<Options, String> {
         }
         match arg.as_str() {
             "--scale" => {
-                opts.scale = match it.next().map(String::as_str) {
-                    Some("tiny") => RunLength::tiny(),
-                    Some("quick") => RunLength::quick(),
-                    Some("standard") => RunLength::standard(),
-                    Some("thorough") => RunLength::thorough(),
-                    other => return Err(format!("bad --scale {other:?}")),
-                }
+                let name = it.next().ok_or("--scale needs a name")?;
+                opts.scale = RunLength::by_name(name).map_err(|e| format!("--scale: {e}"))?;
             }
             "--seed" => {
                 opts.seed = it
@@ -419,7 +414,6 @@ fn main() -> ExitCode {
                 );
                 return ExitCode::FAILURE;
             }
-            let mixes: Vec<Mix> = opts.mixes.iter().map(|m| **m).collect();
             let policy = SweepPolicy {
                 job_deadline: opts.deadline_secs.map(Duration::from_secs_f64),
                 checkpoint_every: opts.checkpoint_every,
@@ -429,8 +423,8 @@ fn main() -> ExitCode {
                 progress_every: opts.progress_secs.map(Duration::from_secs_f64),
                 faults: Default::default(),
             };
-            let run = match run_sweep(&cfg, &mixes, &opts.schemes, &opts.scale, opts.seed, &policy)
-            {
+            let (mixes, schemes) = (&opts.mixes, &opts.schemes);
+            let run = match run_sweep(&cfg, mixes, schemes, &opts.scale, opts.seed, &policy) {
                 Ok(r) => r,
                 Err(e) => {
                     eprintln!("camps: sweep failed: {e}");

@@ -3,19 +3,22 @@
 //! Every simulation goes through one driver, [`RunSpec`]: build the
 //! machine, warm it up or restore a checkpoint, step it (checkpointing
 //! on schedule and honouring a wall-clock deadline), and collect the
-//! result. Each (mix, scheme) simulation is single-threaded and
+//! result. A run's [`Workload`] is a Table II mix or an attack stream.
+//! Each (workload, scheme) simulation is single-threaded and
 //! deterministic; the [`sweep`](crate::sweep) supervisor fans the
 //! independent runs of a matrix out over the host cores.
 
 use crate::checkpoint::{read_snapshot, restore_run, scheme_from_name, write_snapshot};
 use crate::metrics::RunResult;
 use crate::system::{Engine, RunState, System};
+use camps_cpu::trace::TraceSource;
+use camps_dram::TimingCpu;
 use camps_obs::{Comp, ObsConfig};
 use camps_prefetch::SchemeKind;
 use camps_types::clock::Cycle;
 use camps_types::config::SystemConfig;
 use camps_types::error::SimError;
-use camps_workloads::Mix;
+use camps_workloads::{AdversarialSpec, AdversarialTrace, AttackKind, Mix};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -38,7 +41,7 @@ impl RunLength {
     /// sweep kill/resume tests and the CI `sweep-smoke` job, where many
     /// full matrices run back to back.
     #[must_use]
-    pub fn tiny() -> Self {
+    pub const fn tiny() -> Self {
         Self {
             warmup_instructions: 2_000,
             instructions: 2_000,
@@ -48,7 +51,7 @@ impl RunLength {
 
     /// Unit/integration-test scale: seconds per run.
     #[must_use]
-    pub fn quick() -> Self {
+    pub const fn quick() -> Self {
         Self {
             warmup_instructions: 60_000,
             instructions: 60_000,
@@ -58,7 +61,7 @@ impl RunLength {
 
     /// Experiment scale used for the EXPERIMENTS.md numbers.
     #[must_use]
-    pub fn standard() -> Self {
+    pub const fn standard() -> Self {
         Self {
             warmup_instructions: 500_000,
             instructions: 500_000,
@@ -68,12 +71,110 @@ impl RunLength {
 
     /// Long runs for low-variance final numbers.
     #[must_use]
-    pub fn thorough() -> Self {
+    pub const fn thorough() -> Self {
         Self {
             warmup_instructions: 1_000_000,
             instructions: 2_000_000,
             max_cycles: 200_000_000,
         }
+    }
+
+    /// The named scale: `tiny`, `quick`, `standard` or `thorough`.
+    ///
+    /// # Errors
+    /// An unknown name, with the list of valid ones.
+    pub fn by_name(name: &str) -> Result<Self, String> {
+        const SCALES: [(&str, RunLength); 4] = [
+            ("tiny", RunLength::tiny()),
+            ("quick", RunLength::quick()),
+            ("standard", RunLength::standard()),
+            ("thorough", RunLength::thorough()),
+        ];
+        let found = SCALES.iter().find(|(n, _)| *n == name);
+        found.map(|&(_, len)| len).ok_or_else(|| {
+            let names: Vec<&str> = SCALES.iter().map(|(n, _)| *n).collect();
+            format!("unknown scale `{name}`; valid names: {}", names.join(", "))
+        })
+    }
+}
+
+/// What the cores run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Workload {
+    /// A Table II mix.
+    Mix(Mix),
+    /// One attack stream per core: core `c` attacks vault `c % vaults`
+    /// with seed `seed + c`, and the hammer kinds use 32 aggressor rows.
+    /// All-miss attack streams starve the cores, so an attack run is
+    /// usually fixed-cycle: `instructions: u64::MAX`, and the cycle cap
+    /// ends it.
+    Attack(AttackKind),
+}
+
+impl Workload {
+    /// The id results, journals and snapshot manifests carry: the mix id
+    /// (`HM1`) or the attack name (`hammer-double`).
+    #[must_use]
+    pub fn id(&self) -> &'static str {
+        match self {
+            Self::Mix(mix) => mix.id,
+            Self::Attack(kind) => kind.as_str(),
+        }
+    }
+
+    /// The workload whose [`id`](Self::id) is `id`.
+    #[must_use]
+    fn by_id(id: &str) -> Option<Self> {
+        let attack = AttackKind::ALL.into_iter().find(|k| k.as_str() == id);
+        Mix::by_id(id).map(Self::from).or(attack.map(Self::Attack))
+    }
+
+    /// One trace per core of `cfg`, generated from `seed`.
+    ///
+    /// # Errors
+    /// [`SimError::Config`] for an invalid address mapping;
+    /// [`SimError::Setup`] for a mix naming an unknown benchmark or an
+    /// attack the cube geometry cannot hold.
+    fn build_traces(
+        &self,
+        cfg: &SystemConfig,
+        seed: u64,
+    ) -> Result<Vec<Box<dyn TraceSource>>, SimError> {
+        let kind = match self {
+            Self::Mix(mix) => return mix.build_traces(cfg.cube_map()?.capacity_bytes(), seed),
+            Self::Attack(kind) => *kind,
+        };
+        let t_refw = TimingCpu::from_config(&cfg.dram, cfg.cpu.freq_hz).t_refi;
+        (0..cfg.cpu.cores)
+            .map(|core| {
+                let vault = (core % cfg.hmc.vaults) as u16;
+                let mut spec =
+                    AdversarialSpec::preset(kind, vault, seed.wrapping_add(u64::from(core)));
+                // More rows than the 16-row prefetch buffer holds, so
+                // buffered aggressors are evicted (dirty ones written back
+                // with a fresh ACT) before they can be reused.
+                if matches!(kind, AttackKind::HammerDouble | AttackKind::HammerSingle) {
+                    spec.aggressors = 32;
+                }
+                AdversarialTrace::new(spec, &cfg.hmc, t_refw)
+                    .map(|t| Box::new(t) as Box<dyn TraceSource>)
+                    .map_err(|e| SimError::Setup {
+                        reason: format!("{}: {e}", kind.as_str()),
+                    })
+            })
+            .collect()
+    }
+}
+
+impl From<Mix> for Workload {
+    fn from(mix: Mix) -> Self {
+        Self::Mix(mix)
+    }
+}
+
+impl From<&Mix> for Workload {
+    fn from(mix: &Mix) -> Self {
+        Self::Mix(*mix)
     }
 }
 
@@ -104,8 +205,8 @@ impl RunLength {
 pub struct RunSpec<'a> {
     /// Machine configuration.
     pub cfg: &'a SystemConfig,
-    /// Table II workload mix.
-    pub mix: Mix,
+    /// What the cores run.
+    pub workload: Workload,
     /// Prefetching scheme every vault runs.
     pub scheme: SchemeKind,
     /// Warmup and detailed-simulation length.
@@ -122,7 +223,7 @@ pub struct RunSpec<'a> {
     /// (atomically replaced), so a killed or failed run can resume.
     pub checkpoint: Option<(Cycle, PathBuf)>,
     /// Continue from this snapshot instead of warming up. The snapshot
-    /// must have been taken under `cfg`, `mix`, `scheme` and `seed`; its
+    /// must have been taken under `cfg`, `workload`, `scheme` and `seed`; its
     /// run bookkeeping replaces `len`.
     pub resume: Option<PathBuf>,
     /// Wall-clock budget, counted from [`RunSpec::start`]. A run that
@@ -131,19 +232,19 @@ pub struct RunSpec<'a> {
 }
 
 impl<'a> RunSpec<'a> {
-    /// The plain run of `mix` under `scheme`: event engine, no
-    /// observers, no checkpoints, no deadline.
+    /// The plain run of `workload` (a [`Workload`] or a [`Mix`]) under
+    /// `scheme`: event engine, no observers, no checkpoints, no deadline.
     #[must_use]
     pub fn new(
         cfg: &'a SystemConfig,
-        mix: &Mix,
+        workload: impl Into<Workload>,
         scheme: SchemeKind,
         len: RunLength,
         seed: u64,
     ) -> Self {
         Self {
             cfg,
-            mix: *mix,
+            workload: workload.into(),
             scheme,
             len,
             seed,
@@ -155,17 +256,17 @@ impl<'a> RunSpec<'a> {
         }
     }
 
-    /// The spec that continues the run checkpointed at `path`: mix,
+    /// The spec that continues the run checkpointed at `path`: workload,
     /// scheme and seed come from the snapshot's manifest, and `cfg` must
     /// be the configuration it was taken under.
     ///
     /// # Errors
     /// [`SimError::Snapshot`] for an unreadable or corrupt snapshot, or
-    /// one naming an unknown mix or scheme.
+    /// one naming an unknown workload or scheme.
     pub fn from_snapshot(cfg: &'a SystemConfig, path: &Path) -> Result<Self, SimError> {
         let (manifest, _) = read_snapshot(path)?;
-        let mix = Mix::by_id(&manifest.mix_id).ok_or_else(|| SimError::Snapshot {
-            reason: format!("snapshot names unknown mix `{}`", manifest.mix_id),
+        let workload = Workload::by_id(&manifest.mix_id).ok_or_else(|| SimError::Snapshot {
+            reason: format!("snapshot names unknown workload `{}`", manifest.mix_id),
         })?;
         let scheme = scheme_from_name(&manifest.scheme)?;
         // The snapshot carries the run's own length and cycle cap.
@@ -176,7 +277,7 @@ impl<'a> RunSpec<'a> {
         };
         Ok(Self {
             resume: Some(path.to_path_buf()),
-            ..Self::new(cfg, mix, scheme, unused, manifest.seed)
+            ..Self::new(cfg, workload, scheme, unused, manifest.seed)
         })
     }
 
@@ -189,18 +290,18 @@ impl<'a> RunSpec<'a> {
     /// the resume snapshot is unreadable or does not match this spec.
     pub fn start(&self) -> Result<Run, SimError> {
         let started = self.deadline.map(|limit| (Instant::now(), limit));
-        let capacity = self.cfg.cube_map()?.capacity_bytes();
-        let traces = self.mix.build_traces(capacity, self.seed)?;
+        let traces = self.workload.build_traces(self.cfg, self.seed)?;
         let mut sys = System::new(self.cfg, self.scheme, traces)?;
         sys.set_engine(self.engine);
         let state = match &self.resume {
             Some(path) => {
                 let (manifest, state) = read_snapshot(path)?;
-                if manifest.mix_id != self.mix.id || manifest.seed != self.seed {
+                let id = self.workload.id();
+                if manifest.mix_id != id || manifest.seed != self.seed {
                     return Err(SimError::Snapshot {
                         reason: format!(
-                            "snapshot ran {}#{}, this run is {}#{}",
-                            manifest.mix_id, manifest.seed, self.mix.id, self.seed
+                            "snapshot ran {}#{}, this run is {id}#{}",
+                            manifest.mix_id, manifest.seed, self.seed
                         ),
                     });
                 }
@@ -222,7 +323,7 @@ impl<'a> RunSpec<'a> {
             next_checkpoint: self.checkpoint.as_ref().map(|(every, _)| sys.now() + every),
             sys,
             state,
-            mix_id: self.mix.id,
+            workload_id: self.workload.id(),
             seed: self.seed,
             obs: self.obs.clone(),
             checkpoint: self.checkpoint.clone(),
@@ -248,7 +349,7 @@ impl<'a> RunSpec<'a> {
 pub struct Run {
     sys: System,
     state: RunState,
-    mix_id: &'static str,
+    workload_id: &'static str,
     seed: u64,
     obs: Option<ObsConfig>,
     checkpoint: Option<(Cycle, PathBuf)>,
@@ -292,7 +393,7 @@ impl Run {
         {
             if self.sys.now() >= at {
                 if let Err(err) =
-                    write_snapshot(path, &self.sys, &self.state, self.mix_id, self.seed)
+                    write_snapshot(path, &self.sys, &self.state, self.workload_id, self.seed)
                 {
                     return Err(self.fail(err));
                 }
@@ -310,7 +411,7 @@ impl Run {
     /// [`SimError::Io`] when an observer output file cannot be written.
     pub fn finish(mut self) -> Result<RunResult, SimError> {
         self.sys.profiler_mut().exit(Comp::RunLoop);
-        let result = self.sys.run_finish(&self.state, self.mix_id);
+        let result = self.sys.run_finish(&self.state, self.workload_id);
         let exported = self.export_obs();
         let result = result?;
         exported?;
@@ -383,6 +484,7 @@ pub fn run_mix(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::encode_snapshot;
     use crate::sweep::{run_sweep, SweepPolicy};
     use camps_workloads::ALL_MIXES;
 
@@ -411,33 +513,47 @@ mod tests {
         assert_eq!(camps.ipc.len(), 8);
     }
 
+    /// A short fixed-cycle attack run: the cycle cap ends it.
+    const ATTACK_LEN: RunLength = RunLength {
+        warmup_instructions: 500,
+        instructions: u64::MAX,
+        max_cycles: 4_000,
+    };
+
+    fn json(r: &RunResult) -> String {
+        serde_json::to_string(r).unwrap()
+    }
+
     #[test]
     fn resumed_run_matches_the_uninterrupted_run() {
         let cfg = SystemConfig::paper_default();
-        let len = RunLength {
+        let mix_len = RunLength {
             warmup_instructions: 2_000,
             instructions: 8_000,
             max_cycles: 2_000_000,
         };
-        let mix = &ALL_MIXES[0];
         let dir = std::env::temp_dir().join("camps-experiment-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("resume.ckpt.json");
-        std::fs::remove_file(&path).ok();
-        let full = RunSpec {
-            checkpoint: Some((10_000, path.clone())),
-            ..RunSpec::new(&cfg, mix, SchemeKind::Camps, len, 3)
+        let attack = Workload::Attack(AttackKind::HammerSingle);
+        for (workload, len, every) in [
+            (ALL_MIXES[0].into(), mix_len, 10_000),
+            (attack, ATTACK_LEN, 1_500),
+        ] {
+            std::fs::remove_file(&path).ok();
+            let full = RunSpec {
+                checkpoint: Some((every, path.clone())),
+                ..RunSpec::new(&cfg, workload, SchemeKind::Camps, len, 3)
+            }
+            .run()
+            .unwrap();
+            let (manifest, _) = read_snapshot(&path).expect("the run leaves a checkpoint");
+            assert_eq!(manifest.mix_id, workload.id());
+            // Rebuild from the last on-disk checkpoint and continue: the
+            // result must be bit-identical to the uninterrupted run.
+            let resumed = RunSpec::from_snapshot(&cfg, &path).unwrap().run().unwrap();
+            assert_eq!(json(&full), json(&resumed), "{}", workload.id());
         }
-        .run()
-        .unwrap();
-        assert!(path.exists(), "run must leave a checkpoint behind");
-        // Rebuild from the last on-disk checkpoint and continue: final
-        // stats must be bit-identical to the uninterrupted run.
-        let resumed = RunSpec::from_snapshot(&cfg, &path).unwrap().run().unwrap();
-        assert_eq!(full.ipc, resumed.ipc);
-        assert_eq!(full.cycles, resumed.cycles);
-        assert_eq!(full.vaults, resumed.vaults);
-        assert_eq!(full.amat_mem, resumed.amat_mem);
         std::fs::remove_file(&path).ok();
     }
 
@@ -454,7 +570,7 @@ mod tests {
         let path = dir.join("drift.ckpt.json");
         RunSpec {
             checkpoint: Some((5_000, path.clone())),
-            ..RunSpec::new(&cfg, &ALL_MIXES[0], SchemeKind::Nopf, len, 1)
+            ..RunSpec::new(&cfg, ALL_MIXES[0], SchemeKind::Nopf, len, 1)
         }
         .run()
         .unwrap();
@@ -471,14 +587,49 @@ mod tests {
         // onto differently seeded traces.
         let reseeded = RunSpec {
             resume: Some(path.clone()),
-            ..RunSpec::new(&cfg, &ALL_MIXES[0], SchemeKind::Nopf, len, 2)
+            ..RunSpec::new(&cfg, ALL_MIXES[0], SchemeKind::Nopf, len, 2)
         };
         let err = reseeded.run().unwrap_err();
         assert!(
             matches!(&err, SimError::Snapshot { reason } if reason.contains("HM1#1")),
             "got {err}"
         );
+        // Nor may a manifest naming a workload this build does not know.
+        let (mut manifest, state) = read_snapshot(&path).unwrap();
+        manifest.mix_id = "hammer-triple".into();
+        std::fs::write(&path, encode_snapshot(&manifest, &state).unwrap()).unwrap();
+        let err = RunSpec::from_snapshot(&cfg, &path).unwrap_err();
+        assert!(
+            matches!(&err, SimError::Snapshot { reason } if reason.contains("`hammer-triple`")),
+            "got {err}"
+        );
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn attack_workload_runs_like_a_hand_built_system() {
+        let (cfg, len) = (SystemConfig::paper_default(), ATTACK_LEN);
+        let attack = Workload::Attack(AttackKind::HammerDouble);
+        let spec = RunSpec::new(&cfg, attack, SchemeKind::Camps, len, 9).run();
+        // One double-sided hammer per core on its own vault, built by hand.
+        let t_refw = TimingCpu::from_config(&cfg.dram, cfg.cpu.freq_hz).t_refi;
+        let traces = (0..cfg.cpu.cores)
+            .map(|c| {
+                let vault = (c % cfg.hmc.vaults) as u16;
+                let mut spec =
+                    AdversarialSpec::preset(AttackKind::HammerDouble, vault, 9 + u64::from(c));
+                spec.aggressors = 32;
+                Box::new(AdversarialTrace::new(spec, &cfg.hmc, t_refw).unwrap())
+                    as Box<dyn TraceSource>
+            })
+            .collect();
+        let mut sys = System::new(&cfg, SchemeKind::Camps, traces).unwrap();
+        sys.warmup(len.warmup_instructions);
+        let hand = sys.run(len.instructions, len.max_cycles, "hammer-double");
+        let hand = hand.unwrap();
+        assert_eq!(json(&spec.unwrap()), json(&hand));
+        assert_eq!(hand.cycles, len.max_cycles);
+        assert!(hand.amplification.unwrap().demand_activations > 0);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod topology;
 
 pub use audit::RequestAuditor;
 pub use checkpoint::{read_snapshot, write_snapshot};
-pub use experiment::{run_mix, Run, RunLength, RunSpec};
+pub use experiment::{run_mix, Run, RunLength, RunSpec, Workload};
 pub use hmc::HmcDevice;
 pub use metrics::RunResult;
 pub use sweep::{run_sweep, JobOutcome, JobRecord, SweepPolicy, SweepReport, SweepRun};

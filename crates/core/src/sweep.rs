@@ -1,6 +1,6 @@
 //! Resilient parallel sweep supervisor.
 //!
-//! Runs a workload-mix × scheme job matrix concurrently on real worker
+//! Runs a workload × scheme job matrix concurrently on real worker
 //! threads (the vendored rayon pool) with production-grade failure
 //! handling:
 //!
@@ -19,7 +19,7 @@
 //!   resumes it from there (bit-identical restore, see DESIGN.md §8)
 //!   instead of recomputing from scratch.
 //! * **Crash-safe journal** — completed results stream into an
-//!   append-only JSONL journal keyed by (config hash, mix, scheme, seed,
+//!   append-only JSONL journal keyed by (config hash, workload, scheme, seed,
 //!   run length) with a per-line checksum. A `kill -9`'d sweep resumes
 //!   by skipping journaled jobs; a torn final line (the crash landed
 //!   mid-`write`) is detected, tolerated, and compacted away.
@@ -35,7 +35,7 @@
 //! through or killed and resumed.
 
 use crate::checkpoint::config_hash;
-use crate::experiment::{RunLength, RunSpec};
+use crate::experiment::{RunLength, RunSpec, Workload};
 use crate::metrics::RunResult;
 use camps_obs::{ObsConfig, TraceHandle};
 use camps_prefetch::SchemeKind;
@@ -43,7 +43,6 @@ use camps_types::clock::Cycle;
 use camps_types::config::SystemConfig;
 use camps_types::error::SimError;
 use camps_types::snapshot::fnv1a;
-use camps_workloads::Mix;
 use rayon::prelude::*;
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
@@ -62,7 +61,8 @@ use std::time::{Duration, Instant};
 pub struct JobKey {
     /// FNV-1a hash of the compact-JSON `SystemConfig`.
     pub config_hash: u64,
-    /// Table II mix id.
+    /// [`Workload::id`]: a Table II mix or an attack stream. The
+    /// serialized key keeps its original name.
     pub mix_id: String,
     /// Prefetching scheme.
     pub scheme: SchemeKind,
@@ -77,10 +77,10 @@ pub struct JobKey {
 }
 
 impl JobKey {
-    fn new(config_hash: u64, mix: &Mix, scheme: SchemeKind, seed: u64, len: &RunLength) -> Self {
+    fn new(hash: u64, workload: Workload, scheme: SchemeKind, seed: u64, len: &RunLength) -> Self {
         Self {
-            config_hash,
-            mix_id: mix.id.to_string(),
+            config_hash: hash,
+            mix_id: workload.id().to_string(),
             scheme,
             seed,
             warmup_instructions: len.warmup_instructions,
@@ -133,7 +133,7 @@ impl SweepFaultPlan {
     }
 
     /// Schedules `fault` for job index `job` (row-major over
-    /// mixes × schemes).
+    /// workloads × schemes).
     #[must_use]
     pub fn inject(mut self, job: usize, fault: InjectedFault) -> Self {
         self.entries.push((job, fault));
@@ -231,7 +231,7 @@ pub enum JobOutcome {
 /// Per-job accounting in the [`SweepReport`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct JobRecord {
-    /// Table II mix id.
+    /// [`Workload::id`] of the job's workload.
     pub mix_id: String,
     /// Prefetching scheme.
     pub scheme: SchemeKind,
@@ -253,7 +253,7 @@ pub struct JobRecord {
 /// silently discarded.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SweepReport {
-    /// Per-job records, in job (row-major mixes × schemes) order.
+    /// Per-job records, in job (row-major workloads × schemes) order.
     pub jobs: Vec<JobRecord>,
     /// Jobs that ran to completion this sweep.
     pub completed: usize,
@@ -314,7 +314,7 @@ impl SweepReport {
 }
 
 /// Everything a sweep produces: per-job results, per-job errors, and the
-/// report. Indices are job order (row-major mixes × schemes); a job has
+/// report. Indices are job order (row-major workloads × schemes); a job has
 /// exactly one of a result or an error.
 #[derive(Debug)]
 pub struct SweepRun {
@@ -589,7 +589,9 @@ fn ckpt_file(dir: &Path, key: &JobKey) -> PathBuf {
     ))
 }
 
-/// Runs the `mixes × schemes` matrix under the supervisor. Always comes
+/// Runs the `workloads × schemes` matrix under the supervisor; the
+/// workloads may be [`Workload`]s or Table II
+/// [`Mix`](camps_workloads::Mix)es. Always comes
 /// back with partial results and a full accounting; the `Err` arm is
 /// reserved for infrastructure failures that poison the whole sweep (an
 /// unwritable journal, an invalid config).
@@ -601,7 +603,7 @@ fn ckpt_file(dir: &Path, key: &JobKey) -> PathBuf {
 /// returned [`SweepRun`].
 pub fn run_sweep(
     cfg: &SystemConfig,
-    mixes: &[Mix],
+    workloads: &[impl Into<Workload> + Copy],
     schemes: &[SchemeKind],
     len: &RunLength,
     seed: u64,
@@ -609,15 +611,15 @@ pub fn run_sweep(
 ) -> Result<SweepRun, SimError> {
     let sweep_started = Instant::now();
     let chash = config_hash(cfg)?;
-    let jobs: Vec<(usize, Mix, SchemeKind)> = mixes
+    let jobs: Vec<(usize, Workload, SchemeKind)> = workloads
         .iter()
-        .flat_map(|m| schemes.iter().map(move |&s| (*m, s)))
+        .flat_map(|&w| schemes.iter().map(move |&s| (w.into(), s)))
         .enumerate()
-        .map(|(i, (m, s))| (i, m, s))
+        .map(|(i, (w, s))| (i, w, s))
         .collect();
     let keys: Vec<JobKey> = jobs
         .iter()
-        .map(|(_, m, s)| JobKey::new(chash, m, *s, seed, len))
+        .map(|(_, w, s)| JobKey::new(chash, *w, *s, seed, len))
         .collect();
 
     // Journal: load what survives, repair torn tails, open for append.
@@ -688,7 +690,7 @@ pub fn run_sweep(
 
     let job_outputs: Vec<(Result<RunResult, SimError>, JobRecord)> = pool.install(|| {
         jobs.par_iter()
-            .map(|(index, mix, scheme)| {
+            .map(|(index, workload, scheme)| {
                 let key = &keys[*index];
                 let record = |outcome, resumed, wall_secs, error| JobRecord {
                     mix_id: key.mix_id.clone(),
@@ -713,7 +715,7 @@ pub fn run_sweep(
                         .zip(ckpt_dir.as_ref())
                         .map(|(every, dir)| (every, ckpt_file(dir, key))),
                     deadline: policy.job_deadline,
-                    ..RunSpec::new(cfg, mix, *scheme, *len, seed)
+                    ..RunSpec::new(cfg, *workload, *scheme, *len, seed)
                 };
                 let (result, resumed) = run_job(&job, policy.faults.fault_for(*index));
                 let outcome = match &result {
@@ -794,18 +796,18 @@ mod tests {
         RunLength::tiny()
     }
 
+    /// The key of HM1 under NOPF at seed 1.
+    fn key(cfg: &SystemConfig, len: &RunLength) -> JobKey {
+        let hash = config_hash(cfg).unwrap();
+        JobKey::new(hash, ALL_MIXES[0].into(), SchemeKind::Nopf, 1, len)
+    }
+
     #[test]
     fn job_key_round_trips_through_the_journal_line() {
         let cfg = SystemConfig::paper_default();
-        let mix = &ALL_MIXES[0];
-        let result = crate::experiment::run_mix(&cfg, mix, SchemeKind::Nopf, &tiny(), 1).unwrap();
-        let key = JobKey::new(
-            config_hash(&cfg).unwrap(),
-            mix,
-            SchemeKind::Nopf,
-            1,
-            &tiny(),
-        );
+        let result =
+            crate::experiment::run_mix(&cfg, &ALL_MIXES[0], SchemeKind::Nopf, &tiny(), 1).unwrap();
+        let key = key(&cfg, &tiny());
         let line = encode_journal_line(&key, &result).unwrap();
         assert!(!line.contains('\n'), "journal lines must be single-line");
         let entry = decode_journal_line(&line).expect("intact line decodes");
@@ -824,42 +826,20 @@ mod tests {
         // sharing one scratch directory would clobber each other's
         // resume state.
         let dir = Path::new("/tmp/sweep-ckpt");
-        let mix = &ALL_MIXES[0];
         let one = SystemConfig::paper_default();
         let mut four = SystemConfig::paper_default();
         four.topology.cubes = 4;
-        let key_one = JobKey::new(
-            config_hash(&one).unwrap(),
-            mix,
-            SchemeKind::Nopf,
-            1,
-            &tiny(),
-        );
-        let key_four = JobKey::new(
-            config_hash(&four).unwrap(),
-            mix,
-            SchemeKind::Nopf,
-            1,
-            &tiny(),
-        );
+        let key_one = key(&one, &tiny());
+        let key_four = key(&four, &tiny());
         assert_ne!(key_one.config_hash, key_four.config_hash);
         assert_ne!(ckpt_file(dir, &key_one), ckpt_file(dir, &key_four));
         // Identical configs still agree on the filename (resume works).
-        let again = JobKey::new(
-            config_hash(&one).unwrap(),
-            mix,
-            SchemeKind::Nopf,
-            1,
-            &tiny(),
-        );
+        let again = key(&one, &tiny());
         assert_eq!(ckpt_file(dir, &key_one), ckpt_file(dir, &again));
         // Same machine and job, different cycle cap: a resume across the
         // two would carry the other cap and journal under the wrong key.
-        let capped = JobKey::new(
-            config_hash(&one).unwrap(),
-            mix,
-            SchemeKind::Nopf,
-            1,
+        let capped = key(
+            &one,
             &RunLength {
                 max_cycles: tiny().max_cycles / 2,
                 ..tiny()
@@ -871,15 +851,9 @@ mod tests {
     #[test]
     fn torn_and_corrupt_lines_are_rejected() {
         let cfg = SystemConfig::paper_default();
-        let mix = &ALL_MIXES[0];
-        let result = crate::experiment::run_mix(&cfg, mix, SchemeKind::Nopf, &tiny(), 1).unwrap();
-        let key = JobKey::new(
-            config_hash(&cfg).unwrap(),
-            mix,
-            SchemeKind::Nopf,
-            1,
-            &tiny(),
-        );
+        let result =
+            crate::experiment::run_mix(&cfg, &ALL_MIXES[0], SchemeKind::Nopf, &tiny(), 1).unwrap();
+        let key = key(&cfg, &tiny());
         let line = encode_journal_line(&key, &result).unwrap();
         // Torn mid-write: any strict prefix fails.
         assert!(decode_journal_line(&line[..line.len() / 2]).is_none());

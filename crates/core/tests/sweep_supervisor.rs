@@ -3,14 +3,14 @@
 //! failed job's leftover checkpoint, journal crash tolerance, and
 //! thread-count independence.
 
-use camps::experiment::RunLength;
+use camps::experiment::{RunLength, Workload};
 use camps::metrics::RunResult;
 use camps::sweep::{
     read_journal, run_sweep, InjectedFault, JobOutcome, SweepFaultPlan, SweepPolicy,
 };
 use camps_prefetch::SchemeKind;
 use camps_types::config::SystemConfig;
-use camps_workloads::Mix;
+use camps_workloads::{AttackKind, Mix};
 use serde::Serialize as _;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -398,6 +398,32 @@ fn sweep_trace_records_job_and_quarantine_instants() {
             text.contains(&format!("sweep_job_done:HM1/{label}#7")),
             "completion instant for {label} missing from trace"
         );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn journaled_attack_sweep_reruns_from_the_journal() {
+    let cfg = SystemConfig::paper_default();
+    let dir = scratch("attack");
+    let policy = SweepPolicy {
+        journal_path: Some(dir.join("attack.jsonl")),
+        ..SweepPolicy::default()
+    };
+    let attacks = [AttackKind::HammerDouble, AttackKind::BufferPollution].map(Workload::Attack);
+    let len = RunLength {
+        warmup_instructions: 500,
+        instructions: u64::MAX,
+        max_cycles: 3_000,
+    };
+    let sweep = || run_sweep(&cfg, &attacks, &schemes(), &len, SEED, &policy).unwrap();
+    let (first, second) = (sweep(), sweep());
+    assert_eq!(first.report.completed, 6);
+    assert!(second.report.render().contains("6 from journal"));
+    for (a, b) in first.results.iter().zip(&second.results) {
+        let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+        assert!(a.amplification.is_some(), "{} lost its report", a.mix_id);
+        assert_eq!(fingerprint(a), fingerprint(b));
     }
     std::fs::remove_dir_all(&dir).ok();
 }

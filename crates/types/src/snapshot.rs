@@ -72,7 +72,8 @@ pub struct SnapshotManifest {
     pub config_hash: u64,
     /// Prefetching scheme name (e.g. `"CAMPS-MOD"`).
     pub scheme: String,
-    /// Workload mix id (e.g. `"HM1"`); empty for ad-hoc trace runs.
+    /// Workload id: a Table II mix (`"HM1"`) or an attack stream
+    /// (`"hammer-double"`); free-form for ad-hoc trace runs.
     pub mix_id: String,
     /// Workload seed the traces were built from.
     pub seed: u64,

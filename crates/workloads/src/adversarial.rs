@@ -128,6 +128,14 @@ pub enum AttackKind {
 }
 
 impl AttackKind {
+    /// Every attack, the double-sided hammer (the ranked stream) first.
+    pub const ALL: [AttackKind; 4] = [
+        AttackKind::HammerDouble,
+        AttackKind::HammerSingle,
+        AttackKind::ConflictThrash,
+        AttackKind::BufferPollution,
+    ];
+
     /// Stable lowercase identifier (stream names, JSON keys).
     #[must_use]
     pub fn as_str(self) -> &'static str {
