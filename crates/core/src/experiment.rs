@@ -17,7 +17,7 @@ use camps_obs::{Comp, ObsConfig};
 use camps_prefetch::SchemeKind;
 use camps_types::clock::Cycle;
 use camps_types::config::SystemConfig;
-use camps_types::error::SimError;
+use camps_types::error::{ConfigError, SimError};
 use camps_workloads::{AdversarialSpec, AdversarialTrace, AttackKind, Mix};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -286,9 +286,25 @@ impl<'a> RunSpec<'a> {
     /// to [`step`](Run::step).
     ///
     /// # Errors
-    /// Configuration and trace-setup errors; [`SimError::Snapshot`] when
-    /// the resume snapshot is unreadable or does not match this spec.
+    /// Configuration and trace-setup errors, a zero checkpoint or
+    /// metrics interval among them; [`SimError::Snapshot`] when the
+    /// resume snapshot is unreadable or does not match this spec.
     pub fn start(&self) -> Result<Run, SimError> {
+        if self
+            .checkpoint
+            .as_ref()
+            .is_some_and(|(every, _)| *every == 0)
+        {
+            return Err(ConfigError::ZeroCheckpointInterval.into());
+        }
+        if self.obs.as_ref().and_then(|o| o.metrics_every) == Some(0) {
+            return Err(ConfigError::Invalid {
+                field: "metrics_every",
+                reason: "a zero interval would sample every cycle (omit it to disable sampling)"
+                    .into(),
+            }
+            .into());
+        }
         let started = self.deadline.map(|limit| (Instant::now(), limit));
         let traces = self.workload.build_traces(self.cfg, self.seed)?;
         let mut sys = System::new(self.cfg, self.scheme, traces)?;
@@ -604,6 +620,46 @@ mod tests {
             "got {err}"
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A zero checkpoint interval would write a snapshot after every
+    /// step; the run must refuse it before building the machine.
+    #[test]
+    fn zero_checkpoint_interval_is_rejected() {
+        let cfg = SystemConfig::paper_default();
+        let spec = RunSpec {
+            checkpoint: Some((0, std::env::temp_dir().join("camps-zero.ckpt.json"))),
+            ..RunSpec::new(&cfg, ALL_MIXES[0], SchemeKind::Nopf, RunLength::tiny(), 1)
+        };
+        let err = spec.start().err().expect("a zero interval must be refused");
+        assert!(
+            matches!(err, SimError::Config(ConfigError::ZeroCheckpointInterval)),
+            "got {err}"
+        );
+    }
+
+    /// A zero metrics interval would take a sample every cycle.
+    #[test]
+    fn zero_metrics_interval_is_rejected() {
+        let cfg = SystemConfig::paper_default();
+        let spec = RunSpec {
+            obs: Some(ObsConfig {
+                metrics_every: Some(0),
+                ..ObsConfig::default()
+            }),
+            ..RunSpec::new(&cfg, ALL_MIXES[0], SchemeKind::Nopf, RunLength::tiny(), 1)
+        };
+        let err = spec.start().err().expect("a zero interval must be refused");
+        assert!(
+            matches!(
+                err,
+                SimError::Config(ConfigError::Invalid {
+                    field: "metrics_every",
+                    ..
+                })
+            ),
+            "got {err}"
+        );
     }
 
     #[test]

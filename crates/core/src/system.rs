@@ -604,7 +604,8 @@ pub struct System {
     /// Absolute cycle of the next metrics sample.
     #[serde(skip)]
     next_sample: Cycle,
-    /// Ticks the run loop actually executed (event engine: per wake).
+    /// Ticks the run loop actually executed (event engine: per wake);
+    /// read by [`Self::visited_cycles`].
     #[serde(skip)]
     wake_ticks: u64,
     /// Cycles the event engine skipped without ticking.
@@ -715,6 +716,16 @@ impl System {
     #[must_use]
     pub fn vault_ticks(&self) -> u64 {
         self.mem.topology().vault_ticks()
+    }
+
+    /// Cycles the run loop has ticked so far, the other host-independent
+    /// count of work. Polling visits every cycle; the event engine jumps
+    /// over the cycles where nothing can happen, so the skipped cycles
+    /// are the elapsed cycles minus this. Runtime-only, like
+    /// [`Self::vault_ticks`].
+    #[must_use]
+    pub fn visited_cycles(&self) -> u64 {
+        self.wake_ticks
     }
 
     /// Current simulation time.

@@ -24,8 +24,9 @@
 //! tests a `const false`, so the branch folds away and the optimizer
 //! removes the hook. Both builds run the one implementation of each
 //! observer. With the feature on but no handle installed (the default
-//! at runtime), each hook is a single `Option` test on a `None` — the
-//! perf-smoke gate asserts this stays free.
+//! at runtime), each hook is a single `Option` test on a `None`, and
+//! every workload of the repository benchmark (`benchmark/`) times that
+//! configuration.
 //!
 //! Stage sums telescope: for a demand read delivered at cycle `d` and
 //! issued at cycle `i`, the six stage durations add up to exactly

@@ -40,8 +40,8 @@ use std::time::Instant;
 
 /// A profiled simulator component. Variants mirror the span tree the
 /// system layer builds; [`Comp::name`] is the stable label used in
-/// summaries, folded stacks, and the `top_exclusive` lists of
-/// `BENCH_engine.json`.
+/// summaries, folded stacks, and the per-layer shares the repository
+/// benchmark (`benchmark/`) reads from the tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)] // the names below are the documentation
 pub enum Comp {

@@ -11,7 +11,9 @@
 //! so a vault wake that comes too late shows up here as a divergence.
 //! The variant tests below drive the vault paths the paper defaults do
 //! not reach: closed pages, FCFS, LLC push, TRR mitigation, core-side
-//! prefetch, a cube fabric and a saturating RowHammer stream.
+//! prefetch, a cube fabric and a saturating RowHammer stream. The last
+//! test pins the event engine's work, in visited cycles and vault
+//! ticks, exactly.
 
 use camps::experiment::{RunLength, RunSpec};
 use camps::system::Engine;
@@ -284,7 +286,7 @@ fn checkpointed_polling_run_polls_and_matches_the_event_engine() {
 
 /// One narrow core issuing row-striding loads, each behind enough
 /// compute to fill its ROB: the machine sleeps through every memory
-/// round trip. Event engine.
+/// round trip.
 fn idle_heavy() -> System {
     let mut cfg = SystemConfig::paper_default();
     cfg.cpu.cores = 1;
@@ -297,17 +299,14 @@ fn idle_heavy() -> System {
     System::new(&cfg, SchemeKind::Camps, traces).unwrap()
 }
 
-/// The event engine must actually skip on an idle machine. One narrow
-/// core issues row-striding loads, each behind enough compute to fill
-/// its ROB, so the machine sleeps through every memory round trip; the
-/// profiler's wake accounting must show most cycles coalesced. This is
-/// the property behind the idle-heavy `event_over_polling` ratio, pinned
-/// here on cycle counts instead of wall time.
+/// The event engine must actually skip on an idle machine: most cycles
+/// of the idle-heavy run are jumped over, never visited. This is the
+/// property behind the idle-heavy `event_over_polling` ratio, pinned
+/// here on cycle counts instead of wall time. The visited-cycle count
+/// holds in every build; with observability compiled in, the
+/// profiler's wake accounting must agree.
 #[test]
 fn event_engine_skips_most_cycles_of_an_idle_heavy_run() {
-    if !TraceHandle::compiled() {
-        return;
-    }
     let mut sys = idle_heavy();
     sys.enable_obs(&ObsConfig {
         profile: true,
@@ -315,6 +314,15 @@ fn event_engine_skips_most_cycles_of_an_idle_heavy_run() {
     });
     sys.warmup(2_000);
     let result = sys.run(20_000, 10_000_000, "idle-heavy").unwrap();
+    let visited = sys.visited_cycles();
+    assert!(
+        visited * 5 <= result.cycles,
+        "visited {visited} of {} cycles (want <= 20%)",
+        result.cycles
+    );
+    if !TraceHandle::compiled() {
+        return;
+    }
     let profile = result.profile.expect("profiled run carries a summary");
     let skipped: u64 = profile.wake_sources.iter().map(|w| w.cycles_skipped).sum();
     assert!(
@@ -325,11 +333,64 @@ fn event_engine_skips_most_cycles_of_an_idle_heavy_run() {
     );
 }
 
-/// Vault ticks count simulation work, so this gate reads the same on
-/// every host. Polling ticks every vault of every cube on every cycle.
-/// The event engine ticks a vault only when it is due; measured when
-/// the gate landed: 0.036 vault ticks per cycle on the idle-heavy run
-/// and 3.4 on the hammer stream, against 32 under polling.
+/// [`hammer_traces`] on the paper machine under CAMPS.
+fn hammer() -> System {
+    let cfg = SystemConfig::paper_default();
+    System::new(&cfg, SchemeKind::Camps, hammer_traces(&cfg)).unwrap()
+}
+
+/// `mix_id` under CAMPS-MOD on `cubes` chained cubes, seed 11.
+fn mix_on(mix_id: &str, cubes: u32) -> System {
+    let mut cfg = SystemConfig::paper_default();
+    cfg.topology.cubes = cubes;
+    let capacity = cfg.cube_map().unwrap().capacity_bytes();
+    let traces = Mix::by_id(mix_id)
+        .unwrap()
+        .build_traces(capacity, 11)
+        .unwrap();
+    System::new(&cfg, SchemeKind::CampsMod, traces).unwrap()
+}
+
+/// The work a run did, counted rather than timed.
+#[derive(Debug, PartialEq, Eq)]
+struct Work {
+    cycles: u64,
+    /// Cycles the run loop ticked; the rest were skipped.
+    visited: u64,
+    vault_ticks: u64,
+}
+
+/// One workload of the work table: its machine, warmup instructions,
+/// instructions per core (`u64::MAX` runs to the horizon) and cycle
+/// horizon.
+struct Row {
+    name: &'static str,
+    build: fn() -> System,
+    warmup: u64,
+    instructions: u64,
+    horizon: u64,
+}
+
+impl Row {
+    fn run(&self, engine: Engine) -> (String, Work) {
+        let mut sys = (self.build)();
+        sys.set_engine(engine);
+        sys.warmup(self.warmup);
+        let result = sys.run(self.instructions, self.horizon, self.name).unwrap();
+        let work = Work {
+            cycles: result.cycles,
+            visited: sys.visited_cycles(),
+            vault_ticks: sys.vault_ticks(),
+        };
+        (canonical(&result), work)
+    }
+}
+
+/// Visited cycles and vault ticks count simulation work, so these pins
+/// read the same on every host and in every build. Polling ticks every
+/// vault of every cube on every cycle. The event engine jumps over the
+/// cycles where nothing can happen and ticks a vault only when it is
+/// due. A change to the engine's work must update the table.
 #[test]
 fn vault_ticks_count_only_the_due_vaults() {
     let mut cfg = SystemConfig::paper_default();
@@ -350,21 +411,51 @@ fn vault_ticks_count_only_the_due_vaults() {
         u64::from(cfg.hmc.vaults) * 2 * polled.cycles
     );
 
-    let mut idle = idle_heavy();
-    idle.warmup(2_000);
-    let r = idle.run(4_000, 10_000_000, "idle-heavy").unwrap();
-    let per_cycle = idle.vault_ticks() as f64 / r.cycles as f64;
-    assert!(
-        per_cycle < 0.1,
-        "idle-heavy: {per_cycle:.3} vault ticks per cycle"
-    );
+    let dense = |name, build| Row {
+        name,
+        build,
+        warmup: 2_000,
+        instructions: u64::MAX,
+        horizon: 10_000,
+    };
+    #[rustfmt::skip]
+    let table = [
+        // Most cycles skipped: 0.036 vault ticks per cycle against 32.
+        (Row { name: "idle-heavy", build: idle_heavy, warmup: 2_000, instructions: 4_000, horizon: 10_000_000 },
+         Work { cycles: 11_142, visited: 1_390, vault_ticks: 406 }),
+        // Every cycle visited: 3.4 vault ticks per cycle against 32.
+        (Row { name: "hammer", build: hammer, warmup: 0, instructions: u64::MAX, horizon: 20_000 },
+         Work { cycles: 20_000, visited: 20_000, vault_ticks: 68_725 }),
+        // 17.0 against 32.
+        (dense("HM1", || mix_on("HM1", 1)),
+         Work { cycles: 10_000, visited: 10_000, vault_ticks: 170_381 }),
+        // 15.5 against 32.
+        (dense("LM1", || mix_on("LM1", 1)),
+         Work { cycles: 10_000, visited: 10_000, vault_ticks: 155_483 }),
+        // 6.5 against 128.
+        (dense("MX1x4", || mix_on("MX1", 4)),
+         Work { cycles: 10_000, visited: 10_000, vault_ticks: 65_381 }),
+    ];
+    let evented: Vec<String> = table
+        .iter()
+        .map(|(row, expected)| {
+            let (result, work) = row.run(Engine::Event);
+            assert_eq!(&work, expected, "{}: event-engine work", row.name);
+            result
+        })
+        .collect();
 
-    let cfg = SystemConfig::paper_default();
-    let mut hammer = System::new(&cfg, SchemeKind::Camps, hammer_traces(&cfg)).unwrap();
-    let r = hammer.run(u64::MAX, 20_000, "hammer").unwrap();
-    let per_cycle = hammer.vault_ticks() as f64 / r.cycles as f64;
-    assert!(
-        per_cycle < 8.0,
-        "hammer: {per_cycle:.3} vault ticks per cycle"
+    // Skipping must not change the run: the idle-heavy machine polled
+    // ticks every vault on every cycle and ends bit for bit the same.
+    let (polled, work) = table[0].0.run(Engine::Polling);
+    assert_eq!(evented[0], polled, "idle-heavy: engines diverged");
+    assert_eq!(
+        work,
+        Work {
+            cycles: 11_142,
+            visited: 11_142,
+            vault_ticks: 32 * 11_142,
+        },
+        "idle-heavy: polling work"
     );
 }

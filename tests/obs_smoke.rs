@@ -217,16 +217,16 @@ fn stage_breakdown_reconciles_with_amat_on_merge_free_reads() {
     );
 }
 
-/// The self-profiler must observe without perturbing: a profiled run's
-/// `RunResult` — minus the host-side blocks only an observed run can
-/// carry — is byte-identical to the plain run's. When the hooks are
-/// compiled in, the span tree must telescope (exclusive nanoseconds sum
-/// exactly to the measured root wall time), the expected component
-/// paths must appear, the event engine must report per-wake-source
-/// dispatch accounting, and `--profile-out` must yield parseable
-/// folded-stack lines. When built `--no-default-features` every hook
-/// folds away and the same run yields no profile at all — the identity
-/// check holds in both modes.
+/// Observers must observe without perturbing: a profiled run's
+/// `RunResult`, and a traced and sampled one's, minus the host-side
+/// blocks only an observed run can carry, is byte-identical to the
+/// plain run's. When the hooks are compiled in, the span tree must
+/// telescope (exclusive nanoseconds sum exactly to the measured root
+/// wall time), the expected component paths must appear, the event
+/// engine must report per-wake-source dispatch accounting, and
+/// `--profile-out` must yield parseable folded-stack lines. When built
+/// `--no-default-features` every hook folds away and the same run
+/// yields no profile at all — the identity check holds in both modes.
 #[test]
 fn profiler_attributes_wall_time_without_perturbing_the_run() {
     let cfg = SystemConfig::paper_default();
@@ -242,28 +242,47 @@ fn profiler_attributes_wall_time_without_perturbing_the_run() {
         "profile must be absent unless requested"
     );
 
-    let folded_path = tmp("hm1.folded.txt");
-    let obs_cfg = ObsConfig {
-        profile: true,
-        profile_out: Some(folded_path.clone()),
-        ..ObsConfig::default()
+    // Run under an observer, strip the host-timing payloads (wall-clock,
+    // so nondeterministic by design) and demand bit-identity on
+    // everything simulated.
+    let observed = |what: &str, obs| {
+        let mut result = RunSpec {
+            engine: Engine::Event,
+            obs: Some(obs),
+            ..RunSpec::new(&cfg, mix, SchemeKind::Camps, tiny(), 21)
+        }
+        .run()
+        .expect("observed run");
+        let summary = result.profile.take();
+        result.stage_latency = None;
+        assert_eq!(
+            serde_json::to_string(&plain).expect("plain serializes"),
+            serde_json::to_string(&result).expect("observed serializes"),
+            "{what} perturbed the simulation"
+        );
+        summary
     };
-    let mut profiled = RunSpec {
-        engine: Engine::Event,
-        obs: Some(obs_cfg),
-        ..RunSpec::new(&cfg, mix, SchemeKind::Camps, tiny(), 21)
-    }
-    .run()
-    .expect("profiled run");
 
-    // Strip the host-timing payloads (wall-clock, so nondeterministic
-    // by design) and demand bit-identity on everything simulated.
-    let summary = profiled.profile.take();
-    profiled.stage_latency = None;
-    assert_eq!(
-        serde_json::to_string(&plain).expect("plain serializes"),
-        serde_json::to_string(&profiled).expect("profiled serializes"),
-        "profiling perturbed the simulation"
+    let trace_path = tmp("hm1.observed.trace.json");
+    observed(
+        "tracing and metrics sampling",
+        ObsConfig {
+            // A compiled-out build refuses to export a trace.
+            trace_out: camps_obs::TraceHandle::compiled().then(|| trace_path.clone()),
+            metrics_every: Some(1_000),
+            ..ObsConfig::default()
+        },
+    );
+    std::fs::remove_file(&trace_path).ok();
+
+    let folded_path = tmp("hm1.folded.txt");
+    let summary = observed(
+        "profiling",
+        ObsConfig {
+            profile: true,
+            profile_out: Some(folded_path.clone()),
+            ..ObsConfig::default()
+        },
     );
 
     let folded = std::fs::read_to_string(&folded_path).expect("profile-out file exists");
