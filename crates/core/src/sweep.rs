@@ -41,7 +41,7 @@ use camps_obs::{ObsConfig, TraceHandle};
 use camps_prefetch::SchemeKind;
 use camps_types::clock::Cycle;
 use camps_types::config::SystemConfig;
-use camps_types::error::SimError;
+use camps_types::error::{ConfigError, SimError};
 use camps_types::snapshot::fnv1a;
 use rayon::prelude::*;
 use serde::value::Value;
@@ -598,7 +598,9 @@ fn ckpt_file(dir: &Path, key: &JobKey) -> PathBuf {
 ///
 /// # Errors
 /// [`SimError::Io`]/[`SimError::Snapshot`] for journal/trace-file
-/// failures; [`SimError::Config`] when `cfg` cannot be hashed. Per-job
+/// failures; [`SimError::Config`] when `cfg` cannot be hashed or the
+/// checkpoint interval is zero (refused before the journal or any
+/// checkpoint directory is touched). Per-job
 /// failures do **not** surface here — they are quarantined into the
 /// returned [`SweepRun`].
 pub fn run_sweep(
@@ -609,6 +611,9 @@ pub fn run_sweep(
     seed: u64,
     policy: &SweepPolicy,
 ) -> Result<SweepRun, SimError> {
+    if policy.checkpoint_every == Some(0) {
+        return Err(ConfigError::ZeroCheckpointInterval.into());
+    }
     let sweep_started = Instant::now();
     let chash = config_hash(cfg)?;
     let jobs: Vec<(usize, Workload, SchemeKind)> = workloads
@@ -846,6 +851,35 @@ mod tests {
             },
         );
         assert_ne!(ckpt_file(dir, &key_one), ckpt_file(dir, &capped));
+    }
+
+    #[test]
+    fn zero_checkpoint_interval_is_refused_before_any_file_is_made() {
+        let journal =
+            std::env::temp_dir().join(format!("camps-zero-ckpt-{}.jsonl", std::process::id()));
+        let policy = SweepPolicy {
+            checkpoint_every: Some(0),
+            journal_path: Some(journal.clone()),
+            ..SweepPolicy::default()
+        };
+        let err = run_sweep(
+            &SystemConfig::paper_default(),
+            &ALL_MIXES[..1],
+            &[SchemeKind::Nopf, SchemeKind::Base],
+            &tiny(),
+            1,
+            &policy,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, SimError::Config(ConfigError::ZeroCheckpointInterval)),
+            "{err}"
+        );
+        assert!(!journal.exists(), "journal file created");
+        assert!(
+            !journal.with_extension("ckpts").exists(),
+            "checkpoint directory created"
+        );
     }
 
     #[test]

@@ -582,13 +582,6 @@ pub struct System {
     /// Scratch for completed-load wakeups, reused across `run_step`s.
     #[serde(skip)]
     woken_scratch: Vec<(CoreId, u64)>,
-    /// Event-engine scan backoff: cycles left before the next wake scan.
-    /// When a scan finds nothing skippable, rescanning every cycle only
-    /// burns time on dense mixes — ticking without scanning is always
-    /// correct (it *is* the polling engine), so we pause the scan for a
-    /// few cycles. Never serialized (engine-local pacing state).
-    #[serde(skip)]
-    scan_backoff: u64,
     /// Observability hooks; never serialized (see [`MemorySubsystem`]).
     #[serde(skip)]
     obs: TraceHandle,
@@ -649,7 +642,6 @@ impl System {
             now: 0,
             engine: Engine::default(),
             woken_scratch: Vec::new(),
-            scan_backoff: 0,
             obs: TraceHandle::disabled(),
             prof: Profiler::off(),
             metrics_every: None,
@@ -846,10 +838,7 @@ impl System {
         if !(state.done_at.iter().any(Option::is_none) && self.now < state.deadline) {
             return Ok(false);
         }
-        if self.engine == Engine::Event && self.scan_backoff > 0 {
-            self.scan_backoff -= 1;
-            self.prof.note_jump(WakeSource::Backoff, 0);
-        } else if self.engine == Engine::Event {
+        if self.engine == Engine::Event {
             // Jump to the cycle before the earliest pending event, charging
             // the skipped cycles to the cores' idle accounting in bulk. The
             // wake contract is conservative (never late), so the tick below
@@ -862,44 +851,7 @@ impl System {
             // bit-identity contract breaks.
             self.prof.enter(Comp::WakeScan);
             let next = self.now + 1;
-            let mut wake: Option<Cycle> = None;
-            let mut source = WakeSource::Deadline;
-            for core in &self.cores {
-                let before = wake;
-                fold_wake(&mut wake, self.now, core.next_event(self.now));
-                if wake != before {
-                    source = WakeSource::Core;
-                }
-                if wake == Some(next) {
-                    break; // can't skip anything; don't scan the memory side
-                }
-            }
-            if wake != Some(next) {
-                let before = wake;
-                fold_wake(&mut wake, self.now, self.mem.next_event(self.now));
-                if wake != before {
-                    source = WakeSource::Memory;
-                }
-            }
-            if wake != Some(next) && self.cfg.integrity.watchdog_cycles > 0 {
-                // The watchdog must still fire at the exact polling cycle
-                // even when every component sleeps past it.
-                let fire = state.stalled_since + self.cfg.integrity.watchdog_cycles;
-                let before = wake;
-                fold_wake(&mut wake, self.now, Some(fire));
-                if wake != before {
-                    source = WakeSource::Watchdog;
-                }
-            }
-            if wake != Some(next) && self.metrics_every.is_some() {
-                // Samples must land on their exact cycle under both
-                // engines, so the sampler is a wake source of its own.
-                let before = wake;
-                fold_wake(&mut wake, self.now, Some(self.next_sample));
-                if wake != before {
-                    source = WakeSource::Sampler;
-                }
-            }
+            let (wake, mut source) = self.wake_fold(state);
             let target = wake.unwrap_or(state.deadline).min(state.deadline).max(next);
             if wake.is_none_or(|w| w > state.deadline) {
                 source = WakeSource::Deadline;
@@ -911,12 +863,6 @@ impl System {
                     core.skip_idle(skipped);
                 }
                 self.now = target - 1;
-            } else {
-                // Nothing skippable: the machine is dense right now, and
-                // will usually stay dense for a while. Tick scan-free for a
-                // few cycles before probing again.
-                self.scan_backoff = 8;
-                self.prof.note_backoff_engaged();
             }
             self.prof.note_jump(source, skipped);
             self.prof.exit(Comp::WakeScan);
@@ -933,6 +879,40 @@ impl System {
             self.prof.note_outcome(self.progress_signature() != before);
         }
         stepped
+    }
+
+    /// The event engine's wake fold: the earliest cycle any wake source
+    /// asks for, and the source that set it. Sources fold in a fixed
+    /// order (cores, memory, watchdog, sampler), and the fold stops as
+    /// soon as the wake is the very next cycle, since nothing can then
+    /// be skipped.
+    fn wake_fold(&self, state: &RunState) -> (Option<Cycle>, WakeSource) {
+        let now = self.now;
+        let mut wake: Option<Cycle> = None;
+        let mut source = WakeSource::Deadline;
+        // Folds one candidate; true once the wake is the next cycle.
+        let mut fold = |src: WakeSource, candidate: Option<Cycle>| {
+            let before = wake;
+            fold_wake(&mut wake, now, candidate);
+            if wake != before {
+                source = src;
+            }
+            wake == Some(now + 1)
+        };
+        let watchdog = self.cfg.integrity.watchdog_cycles;
+        let _dense = self
+            .cores
+            .iter()
+            .any(|core| fold(WakeSource::Core, core.next_event(now)))
+            || fold(WakeSource::Memory, self.mem.next_event(now))
+            // The watchdog must still fire at the exact polling cycle even
+            // when every component sleeps past it.
+            || (watchdog > 0 && fold(WakeSource::Watchdog, Some(state.stalled_since + watchdog)))
+            // Samples must land on their exact cycle under both engines,
+            // so the sampler is a wake source of its own.
+            || (self.metrics_every.is_some()
+                && fold(WakeSource::Sampler, Some(self.next_sample)));
+        (wake, source)
     }
 
     /// The per-cycle tick body shared verbatim by both engines; split

@@ -188,8 +188,9 @@ pub struct ProfileSummary {
     /// Per-wake-source dispatch accounting (event engine only; empty
     /// under the polling engine).
     pub wake_sources: Vec<WakeSourceStat>,
-    /// Times the event engine's scan-backoff engaged (8 forced ticks
-    /// after a tick-dense stretch instead of a full wake scan).
+    /// Always 0: the event engine has no scan backoff. Kept only because
+    /// the benchmark harness still reports it as
+    /// `core.backoff_engagements`; the field and that metric go together.
     pub backoff_engagements: u64,
 }
 
@@ -243,10 +244,6 @@ impl ProfileSummary {
                     w.cycles_skipped,
                 ));
             }
-            out.push_str(&format!(
-                "scan-backoff engagements: {}\n",
-                self.backoff_engagements
-            ));
         }
         out
     }
@@ -303,7 +300,6 @@ pub struct Profiler {
     stack: Vec<Frame>,
     wake: [WakeAcc; WakeSource::COUNT],
     pending: Option<WakeSource>,
-    backoff_engagements: u64,
     spurious_total: u64,
 }
 
@@ -319,7 +315,6 @@ impl Profiler {
             stack: Vec::new(),
             wake: [WakeAcc::default(); WakeSource::COUNT],
             pending: None,
-            backoff_engagements: 0,
             spurious_total: 0,
         }
     }
@@ -486,15 +481,6 @@ impl Profiler {
         }
     }
 
-    /// Event engine: a scan-backoff window (forced dense ticks)
-    /// engaged.
-    #[inline]
-    pub fn note_backoff_engaged(&mut self) {
-        if self.on() {
-            self.backoff_engagements += 1;
-        }
-    }
-
     /// Total spurious wakes so far (metrics time-series column).
     #[must_use]
     pub fn spurious_total(&self) -> u64 {
@@ -558,7 +544,7 @@ impl Profiler {
             total_ns,
             nodes,
             wake_sources,
-            backoff_engagements: self.backoff_engagements,
+            backoff_engagements: 0,
         })
     }
 }
@@ -621,10 +607,8 @@ mod tests {
         p.note_outcome(false);
         p.note_jump(WakeSource::Sampler, 100);
         p.note_outcome(false);
-        p.note_backoff_engaged();
         assert_eq!(p.spurious_total(), 2);
         let s = p.summary().unwrap();
-        assert_eq!(s.backoff_engagements, 1);
         assert_eq!(s.spurious_wakes(), 2);
         let core = s.wake_sources.iter().find(|w| w.source == "core").unwrap();
         assert_eq!((core.wakes, core.productive, core.spurious), (2, 1, 1));

@@ -157,10 +157,12 @@ mod tests {
         assert_eq!(ReplacementKind::Lru.victim(&e), 0);
     }
 
+    /// An empty slice breaks the caller's invariant: debug builds
+    /// assert, release builds yield index 0 as documented.
     #[test]
-    #[should_panic(expected = "empty")]
-    fn empty_panics() {
-        let _ = ReplacementKind::Lru.victim(&[]);
+    #[cfg_attr(debug_assertions, should_panic(expected = "empty"))]
+    fn empty_yields_zero_or_panics_in_debug() {
+        assert_eq!(ReplacementKind::Lru.victim(&[]), 0);
     }
 
     #[test]

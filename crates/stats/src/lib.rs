@@ -28,4 +28,4 @@ pub use audit::{AuditLedger, VaultAudit};
 pub use counter::{Counter, Ratio};
 pub use histogram::Log2Histogram;
 pub use running::Running;
-pub use summary::{geomean, mean, normalize_to, percent_change, NormalizeError};
+pub use summary::{geomean, mean};

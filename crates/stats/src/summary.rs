@@ -3,8 +3,8 @@
 //!
 //! The paper reports performance as "the geometric mean of the IPC values of
 //! different workloads running on the eight processor cores", normalized to
-//! the BASE scheme (§5.1) — [`geomean`] and [`normalize_to`] implement
-//! exactly that pipeline.
+//! the BASE scheme (§5.1). [`geomean`] is that mean; the speedup table in
+//! the simulator crate divides each scheme's by BASE's.
 
 /// Geometric mean of strictly positive values; `None` if the slice is empty
 /// or contains a non-positive value.
@@ -24,73 +24,6 @@ pub fn mean(values: &[f64]) -> Option<f64> {
         return None;
     }
     Some(values.iter().sum::<f64>() / values.len() as f64)
-}
-
-/// Why a normalization could not be computed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum NormalizeError {
-    /// The value and baseline slices have different lengths.
-    LengthMismatch {
-        /// Number of values to normalize.
-        values: usize,
-        /// Number of baseline values.
-        baseline: usize,
-    },
-    /// A baseline entry is zero, NaN, or infinite — dividing by it
-    /// would inject `inf`/`NaN` into a figure table.
-    BadBaseline {
-        /// Index of the offending baseline entry.
-        index: usize,
-        /// Its value.
-        value: f64,
-    },
-}
-
-impl core::fmt::Display for NormalizeError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            Self::LengthMismatch { values, baseline } => write!(
-                f,
-                "normalize_to: length mismatch ({values} values vs {baseline} baseline)"
-            ),
-            Self::BadBaseline { index, value } => {
-                write!(f, "normalize_to: unusable baseline[{index}] = {value}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for NormalizeError {}
-
-/// Normalizes each value against the matching baseline value
-/// (`value / baseline`), the transformation behind every "normalized to
-/// BASE" figure.
-///
-/// # Errors
-/// Returns [`NormalizeError`] on mismatched slice lengths or when a
-/// baseline entry is zero/NaN/infinite (the silent `inf`/`NaN` these
-/// used to yield poisoned downstream geomeans).
-pub fn normalize_to(values: &[f64], baseline: &[f64]) -> Result<Vec<f64>, NormalizeError> {
-    if values.len() != baseline.len() {
-        return Err(NormalizeError::LengthMismatch {
-            values: values.len(),
-            baseline: baseline.len(),
-        });
-    }
-    if let Some((index, &value)) = baseline
-        .iter()
-        .enumerate()
-        .find(|(_, b)| !b.is_finite() || **b == 0.0)
-    {
-        return Err(NormalizeError::BadBaseline { index, value });
-    }
-    Ok(values.iter().zip(baseline).map(|(v, b)| v / b).collect())
-}
-
-/// Percentage change from `from` to `to`: `+17.9` means 17.9 % higher.
-#[must_use]
-pub fn percent_change(from: f64, to: f64) -> f64 {
-    (to - from) / from * 100.0
 }
 
 #[cfg(test)]
@@ -128,49 +61,5 @@ mod tests {
     fn mean_basics() {
         assert_eq!(mean(&[]), None);
         assert_eq!(mean(&[1.0, 2.0, 3.0]), Some(2.0));
-    }
-
-    #[test]
-    fn normalize_basics() {
-        let n = normalize_to(&[2.0, 3.0], &[1.0, 2.0]).unwrap();
-        assert_eq!(n, vec![2.0, 1.5]);
-    }
-
-    #[test]
-    fn normalize_length_mismatch_is_typed() {
-        assert_eq!(
-            normalize_to(&[1.0], &[1.0, 2.0]),
-            Err(NormalizeError::LengthMismatch {
-                values: 1,
-                baseline: 2
-            })
-        );
-    }
-
-    #[test]
-    fn normalize_rejects_zero_and_nan_baselines() {
-        assert_eq!(
-            normalize_to(&[1.0, 2.0], &[1.0, 0.0]),
-            Err(NormalizeError::BadBaseline {
-                index: 1,
-                value: 0.0
-            })
-        );
-        assert!(matches!(
-            normalize_to(&[1.0], &[f64::NAN]),
-            Err(NormalizeError::BadBaseline { index: 0, .. })
-        ));
-        assert!(matches!(
-            normalize_to(&[1.0], &[f64::INFINITY]),
-            Err(NormalizeError::BadBaseline { index: 0, .. })
-        ));
-        let msg = normalize_to(&[1.0], &[]).unwrap_err().to_string();
-        assert!(msg.contains("length mismatch"));
-    }
-
-    #[test]
-    fn percent_change_signs() {
-        assert!((percent_change(1.0, 1.179) - 17.9).abs() < 1e-9);
-        assert!(percent_change(2.0, 1.0) < 0.0);
     }
 }
