@@ -75,8 +75,9 @@ pub struct HmcDevice {
     #[serde(skip)]
     stall_marked: bool,
     /// Per-vault due cycle: while gated, a vault ticks only once `now`
-    /// reaches it (`Cycle::MAX`: quiescent until input arrives). Input
-    /// forces it to 0; a tick refreshes it.
+    /// reaches it. Every tick stores the vault's own `next_event`
+    /// (`Cycle::MAX`: quiescent until input arrives); input forces it to
+    /// 0. Ungated, it stays 0.
     #[serde(skip)]
     due: Box<[Cycle]>,
     /// Skip vaults that are not due (event engine). Off, every vault
@@ -283,10 +284,12 @@ impl HmcDevice {
         }
     }
 
-    /// Ticks every vault that is due. A vault with queued demand is due
-    /// again next cycle: its full wake scan walks the whole queue, which
-    /// costs more than the ticks it would save on saturated vaults. Any
-    /// other vault sleeps until its own wake.
+    /// Ticks every vault that is due and, while gated, caches its own
+    /// wake as its next due cycle. Nothing but input changes a vault
+    /// between its ticks, so the cache stays exact until then. A vault an
+    /// injected stall freezes is never ticked and keeps its last due
+    /// cycle (0 once input reaches it): a lower bound on a state that no
+    /// longer changes.
     fn tick_vaults(&mut self, now: Cycle, prof: &mut Profiler) {
         let stalled = self.stalled_vault(now);
         for (idx, v) in self.vaults.iter_mut().enumerate() {
@@ -303,11 +306,7 @@ impl HmcDevice {
             v.tick(now, &mut self.vault_out, prof);
             self.vault_ticks += 1;
             if self.gated {
-                self.due[idx] = if v.read_queue_len() + v.write_queue_len() > 0 {
-                    now + 1
-                } else {
-                    v.next_event(now).unwrap_or(Cycle::MAX)
-                };
+                self.due[idx] = v.next_event(now).unwrap_or(Cycle::MAX);
             }
         }
         for resp in &self.vault_out {
@@ -441,9 +440,8 @@ impl Wake for HmcDevice {
     /// launch this instant (host queue with link tokens free, response
     /// queue with response tokens free, or any non-empty vault retry queue
     /// — retries probe the prefetch buffer and count lookups, so they must
-    /// run every cycle), and the earliest wake of every vault: the cached
-    /// due cycle of a gated vault with empty queues (nothing has changed
-    /// it since its last tick), a fresh wake scan otherwise. Token-blocked
+    /// run every cycle), and the earliest cached due cycle of any vault
+    /// (0 under polling, so the next cycle). Token-blocked
     /// queue heads need no wake of their own: the tokens they wait for are
     /// always represented by a pending `token_returns` entry. Serial links
     /// and crossbars hold no timers: a send only queues behind a busy
@@ -478,21 +476,8 @@ impl Wake for HmcDevice {
         if let Some(Reverse((at, _, _))) = self.inflight_resp.peek() {
             fold_wake(&mut wake, now, Some(*at));
         }
-        let stalled = self.stalled_vault(now + 1);
-        for (idx, v) in self.vaults.iter().enumerate() {
-            let at = if self.gated
-                && stalled != Some(idx)
-                && v.read_queue_len() + v.write_queue_len() == 0
-            {
-                Some(self.due[idx]).filter(|&due| due != Cycle::MAX)
-            } else {
-                v.next_event(now)
-            };
-            fold_wake(&mut wake, now, at);
-            if wake == Some(next) {
-                break;
-            }
-        }
+        let due = self.due.iter().copied().min();
+        fold_wake(&mut wake, now, due.filter(|&at| at != Cycle::MAX));
         wake
     }
 }

@@ -57,6 +57,12 @@ struct WritebackJob {
 
 /// One HMC vault: banks + queues + scheduler + prefetch engine.
 ///
+/// **Invariant: between ticks, no queued request's or fetch's row is in
+/// the prefetch buffer.** Rows enter it only in `complete_fetches`, right
+/// before `serve_buffer_resident`; `try_enqueue` serves a resident row
+/// instead of queueing it (§3.1), and `spawn_fetch` refuses a resident or
+/// duplicate row. The wake scan and `start_fetches` rely on it.
+///
 /// Its snapshot is every field not marked `skip`; the skipped ones are
 /// derived configuration (timing, caps, mapping, scheduler and page
 /// policy, fetch chunking), rebuilt by the constructor.
@@ -332,8 +338,9 @@ impl VaultController {
         let t = prof.stamp();
         self.advance_refresh(now);
         let t = prof.lap(Comp::RefreshScan, t);
-        self.complete_fetches(now);
-        self.serve_buffer_resident(now);
+        if self.complete_fetches(now) {
+            self.serve_buffer_resident(now);
+        }
         let t = prof.lap(Comp::BufferServe, t);
         self.sweep_precharges(now);
         let _ = prof.lap(Comp::BankModel, t);
@@ -403,8 +410,10 @@ impl VaultController {
         }
     }
 
-    /// Finishes TSV row transfers whose completion time has arrived.
-    fn complete_fetches(&mut self, now: Cycle) {
+    /// Finishes TSV row transfers whose completion time has arrived;
+    /// true if a row entered the buffer.
+    fn complete_fetches(&mut self, now: Cycle) -> bool {
+        let in_flight = self.fetches.len();
         let mut i = 0;
         while i < self.fetches.len() {
             match self.fetches[i].done {
@@ -425,6 +434,7 @@ impl VaultController {
                 _ => i += 1,
             }
         }
+        self.fetches.len() < in_flight
     }
 
     fn insert_prefetched(&mut self, key: RowKey, now: Cycle, seed_util: u32) {
@@ -505,12 +515,9 @@ impl VaultController {
         let mut i = 0;
         while i < self.fetches.len() {
             let job = self.fetches[i];
+            debug_assert!(!self.buffer.contains(job.key), "VaultController invariant");
             if job.done.is_some() {
                 i += 1;
-                continue;
-            }
-            if self.buffer.contains(job.key) {
-                self.fetches.swap_remove(i);
                 continue;
             }
             let cmd = self.next_cmd(job.key, Cause::Prefetch, AccessKind::Read);
@@ -1038,27 +1045,23 @@ impl Wake for VaultController {
             up(Some(now + 1));
         }
 
-        // Queued demand: a buffer-resident row is served next tick; any
-        // other request waits on its next command. The starvation
-        // override needs no edge of its own: it only lets a precharge
-        // issue once that precharge is ready, which is the edge folded
-        // here.
+        // Queued demand: each request waits on its next command, since
+        // none is on a buffer-resident row. The starvation override needs
+        // no edge of its own: it only lets a precharge issue once that
+        // precharge is ready, which is the edge folded here.
         for q in self.read_q.iter().chain(self.write_q.iter()) {
-            if self.buffer.contains(q.decoded.row_key()) {
-                up(Some(now + 1));
-                continue;
-            }
+            debug_assert!(
+                !self.buffer.contains(q.decoded.row_key()),
+                "VaultController invariant"
+            );
             up(self.ready_at(&self.demand_cmd(q)));
         }
 
         // Row fetches: completions and bus slots for the next chunk.
         for job in &self.fetches {
+            debug_assert!(!self.buffer.contains(job.key), "VaultController invariant");
             if let Some(done) = job.done {
                 up(Some(done));
-                continue;
-            }
-            if self.buffer.contains(job.key) {
-                up(Some(now + 1)); // duplicate: discarded next tick
                 continue;
             }
             match self.next_cmd(job.key, Cause::Prefetch, AccessKind::Read) {
@@ -1345,6 +1348,48 @@ mod tests {
         assert_eq!(out2[0].source, ServiceSource::PrefetchBuffer);
         assert_eq!(out2[0].completed_at, now + c.prefetch.hit_latency);
         assert_eq!(v.stats().buffer_hits.get(), 1);
+    }
+
+    #[test]
+    fn read_queued_behind_a_fetch_is_served_when_the_row_lands() {
+        let c = cfg();
+        let mut v = VaultController::new(0, &c, SchemeKind::Base).unwrap();
+        let (r1, d1) = req_at(&c, 1, 0, 5, 0, AccessKind::Read, 0);
+        assert!(v.try_enqueue(r1, d1, 0));
+        // Tick until the row fetch BASE spawns knows its completion cycle.
+        let mut out = Vec::new();
+        let mut now = 0;
+        let done = loop {
+            now += 1;
+            v.tick(now, &mut out, &mut Profiler::off());
+            if let Some(done) = v.fetches.first().and_then(|f| f.done) {
+                break done;
+            }
+            assert!(now < 20_000, "the row fetch never finished streaming");
+        };
+        while now + 1 < done {
+            now += 1;
+            v.tick(now, &mut out, &mut Profiler::off());
+        }
+        // A read to the same row arrives before the fetch lands: the row
+        // is not yet in the buffer, so it queues.
+        now += 1;
+        let (r2, d2) = req_at(&c, 2, 0, 5, 7, AccessKind::Read, now);
+        assert!(v.try_enqueue(r2, d2, now));
+        assert_eq!(v.read_q.len(), 1);
+        let hits = v.stats().buffer_hits.get();
+        // The tick that lands the row serves the queued read from it.
+        v.tick(now, &mut out, &mut Profiler::off());
+        assert!(v.read_q.is_empty(), "the queued read was not served");
+        assert_eq!(v.stats().buffer_hits.get(), hits + 1);
+        let served_at = now + c.prefetch.hit_latency;
+        while now < served_at {
+            now += 1;
+            v.tick(now, &mut out, &mut Profiler::off());
+        }
+        let resp = out.iter().find(|r| r.id == RequestId(2)).unwrap();
+        assert_eq!(resp.source, ServiceSource::PrefetchBuffer);
+        assert_eq!(resp.completed_at, served_at);
     }
 
     #[test]

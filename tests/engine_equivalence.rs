@@ -422,19 +422,19 @@ fn vault_ticks_count_only_the_due_vaults() {
     let table = [
         // Most cycles skipped: 0.025 vault ticks per cycle against 32.
         (Row { name: "idle-heavy", build: idle_heavy, warmup: 2_000, instructions: 4_000, horizon: 10_000_000 },
-         Work { cycles: 11_142, visited: 1_264, vault_ticks: 280 }),
-        // Every cycle visited: 3.4 vault ticks per cycle against 32.
+         Work { cycles: 11_142, visited: 1_264, vault_ticks: 279 }),
+        // Every cycle visited: 1.2 vault ticks per cycle against 32.
         (Row { name: "hammer", build: hammer, warmup: 0, instructions: u64::MAX, horizon: 20_000 },
-         Work { cycles: 20_000, visited: 20_000, vault_ticks: 68_725 }),
-        // 17.0 against 32.
+         Work { cycles: 20_000, visited: 20_000, vault_ticks: 23_163 }),
+        // 1.9 against 32.
         (dense("HM1", || mix_on("HM1", 1)),
-         Work { cycles: 10_000, visited: 10_000, vault_ticks: 170_381 }),
-        // 15.5 against 32.
+         Work { cycles: 10_000, visited: 10_000, vault_ticks: 19_029 }),
+        // 2.2 against 32.
         (dense("LM1", || mix_on("LM1", 1)),
-         Work { cycles: 10_000, visited: 10_000, vault_ticks: 155_483 }),
-        // 6.5 against 128.
+         Work { cycles: 10_000, visited: 10_000, vault_ticks: 22_401 }),
+        // 0.65 against 128.
         (dense("MX1x4", || mix_on("MX1", 4)),
-         Work { cycles: 10_000, visited: 10_000, vault_ticks: 65_381 }),
+         Work { cycles: 10_000, visited: 10_000, vault_ticks: 6_489 }),
     ];
     let evented: Vec<String> = table
         .iter()
